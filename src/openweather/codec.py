@@ -17,6 +17,13 @@ The decoder is liberal: arbitrary whitespace and key order, numeric fields
 quoted as strings, timestamps with or without the trailing "Z", and the
 historical spellings of the on-demand query (key "Retrive", or the query
 nested inside "Data").
+
+The "Data" schema lives in one table, MEASUREMENTS: one row per field,
+naming its group, its attribute on the group's block, its path on the
+wire, its NormalizedSample attribute and its missing-value default.
+Encoding, decoding and the vendor sample mapping all read that table, so
+a new measurement is one row here plus the attribute it names on the
+block and sample dataclasses.
 """
 
 from __future__ import annotations
@@ -219,6 +226,61 @@ class WeatherData:
 
     def is_empty(self) -> bool:
         return self.ptu is None and self.wind is None and self.precipitation is None
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """One measurement field of the "Data" payload."""
+
+    group: str  # WeatherData attribute holding the field's block
+    wire_group: str  # the group's key inside "Data"
+    field: str  # block attribute
+    path: tuple  # keys inside the wire group, outermost first
+    sample: str  # NormalizedSample attribute
+    default: str  # value of a field the wire or the sample leaves out
+
+
+# group, wire group, block field, wire path, NormalizedSample attribute, default
+MEASUREMENTS = tuple(Measurement(*row) for row in (
+    ("ptu", "PTU", "air_pressure", ("Air-Pressure",), "air_pressure_hpa", ""),
+    ("ptu", "PTU", "air_temperature", ("Air-Temperature",), "air_temperature_c", ""),
+    ("ptu", "PTU", "relative_humidity", ("Relative-Humidity",), "relative_humidity_pct", ""),
+    ("wind", "WIND", "direction_min", ("Direction", "min"), "wind_direction_min_deg", ""),
+    ("wind", "WIND", "direction_ave", ("Direction", "ave"), "wind_direction_ave_deg", ""),
+    ("wind", "WIND", "direction_max", ("Direction", "max"), "wind_direction_max_deg", ""),
+    ("wind", "WIND", "speed_min", ("Speed", "min"), "wind_speed_min_ms", ""),
+    ("wind", "WIND", "speed_ave", ("Speed", "ave"), "wind_speed_ave_ms", ""),
+    ("wind", "WIND", "speed_max", ("Speed", "max"), "wind_speed_max_ms", ""),
+    ("precipitation", "PRECIPITATION", "rain_accumulation", ("Rain", "accumulation"), "rain_accumulation_mm", "0"),
+    ("precipitation", "PRECIPITATION", "rain_duration", ("Rain", "duration"), "rain_duration_s", "0"),
+    ("precipitation", "PRECIPITATION", "rain_intensity", ("Rain", "intensity"), "rain_intensity_mmh", "0"),
+    ("precipitation", "PRECIPITATION", "rain_peak", ("Rain", "peak"), "rain_peak_mmh", "0"),
+    ("precipitation", "PRECIPITATION", "hail_accumulation", ("Hail", "accumulation"), "hail_accumulation_hits", "0"),
+    ("precipitation", "PRECIPITATION", "hail_duration", ("Hail", "duration"), "hail_duration_s", "0"),
+    ("precipitation", "PRECIPITATION", "hail_intensity", ("Hail", "intensity"), "hail_intensity_hits", "0"),
+    ("precipitation", "PRECIPITATION", "hail_peak", ("Hail", "peak"), "hail_peak_hits", "0"),
+))
+
+# WeatherData attribute -> (block type, the group's MEASUREMENTS rows in table order)
+MEASUREMENT_GROUPS = {
+    name: (block, tuple(row for row in MEASUREMENTS if row.group == name))
+    for name, block in (("ptu", PtuBlock), ("wind", WindBlock), ("precipitation", PrecipitationBlock))
+}
+
+
+def _by_holder(rows) -> tuple:
+    # ((keys of the object holding the values, ((wire key, block field, default), ...)), ...)
+    held = {}
+    for row in rows:
+        held.setdefault(row.path[:-1], []).append((row.path[-1], row.field, row.default))
+    return tuple((keys, tuple(leaves)) for keys, leaves in held.items())
+
+
+# the codec's walk over "Data", worked out once so that encoding and decoding a
+# message do no path slicing: (group, wire key, block type, fields by holding object)
+_DATA_LAYOUT = tuple(
+    (name, rows[0].wire_group, block, _by_holder(rows)) for name, (block, rows) in MEASUREMENT_GROUPS.items()
+)
 
 
 @dataclass(frozen=True)
@@ -461,41 +523,17 @@ def _meta_to_wire(meta: MetaInfo) -> dict:
 
 def _data_to_wire(data: WeatherData) -> dict:
     wire = {}
-    if data.precipitation is not None:
-        p = data.precipitation
-        wire["PRECIPITATION"] = {
-            "Hail": {
-                "accumulation": p.hail_accumulation,
-                "duration": p.hail_duration,
-                "intensity": p.hail_intensity,
-                "peak": p.hail_peak,
-            },
-            "Rain": {
-                "accumulation": p.rain_accumulation,
-                "duration": p.rain_duration,
-                "intensity": p.rain_intensity,
-                "peak": p.rain_peak,
-            },
-        }
-    if data.ptu is not None:
-        wire["PTU"] = {
-            "Air-Pressure": data.ptu.air_pressure,
-            "Air-Temperature": data.ptu.air_temperature,
-            "Relative-Humidity": data.ptu.relative_humidity,
-        }
-    if data.wind is not None:
-        wire["WIND"] = {
-            "Direction": {
-                "ave": data.wind.direction_ave,
-                "max": data.wind.direction_max,
-                "min": data.wind.direction_min,
-            },
-            "Speed": {
-                "ave": data.wind.speed_ave,
-                "max": data.wind.speed_max,
-                "min": data.wind.speed_min,
-            },
-        }
+    for name, wire_key, _, holders in _DATA_LAYOUT:
+        block = getattr(data, name)
+        if block is None:
+            continue
+        group = wire[wire_key] = {}
+        for keys, leaves in holders:
+            target = group
+            for key in keys:
+                target = target.setdefault(key, {})
+            for leaf, field, _ in leaves:
+                target[leaf] = getattr(block, field)
     return wire
 
 
@@ -512,33 +550,34 @@ def _info_to_wire(info: InfoPayload) -> dict:
     return {"Peers": entries}
 
 
+def _payload_to_wire(envelope: Envelope) -> tuple | None:
+    """The payload member as (wire key, value), or None for header-only."""
+    if envelope.data is not None:
+        return "Data", _data_to_wire(envelope.data)
+    if envelope.info is not None:
+        return "Info", _info_to_wire(envelope.info)
+    if envelope.retrieve is not None:
+        return "Retrieve", {"D": list(envelope.retrieve.services), "Timestamp": envelope.retrieve.timestamp}
+    return None
+
+
 def encode(envelope: Envelope) -> bytes:
     """Render the canonical single-line wire form, without framing newline."""
     report = validate(envelope)
     if not report.ok:
         raise EncodeError("refusing to encode: " + "; ".join(report.problems))
     body = {"Type": envelope.type_code, "MetaInfo": _meta_to_wire(envelope.meta)}
-    if envelope.data is not None:
-        body["Data"] = _data_to_wire(envelope.data)
-    if envelope.info is not None:
-        body["Info"] = _info_to_wire(envelope.info)
-    if envelope.retrieve is not None:
-        body["Retrieve"] = {
-            "D": list(envelope.retrieve.services),
-            "Timestamp": envelope.retrieve.timestamp,
-        }
+    payload = _payload_to_wire(envelope)
+    if payload is not None:
+        key, value = payload
+        body[key] = value
     return _render({"OpenWeatherMessage": body}).encode("utf-8")
 
 
 def payload_fragment(envelope: Envelope) -> str | None:
     """Canonical text of just the payload member, or None for header-only."""
-    if envelope.data is not None:
-        return _render(_data_to_wire(envelope.data))
-    if envelope.info is not None:
-        return _render(_info_to_wire(envelope.info))
-    if envelope.retrieve is not None:
-        return _render({"D": list(envelope.retrieve.services), "Timestamp": envelope.retrieve.timestamp})
-    return None
+    payload = _payload_to_wire(envelope)
+    return None if payload is None else _render(payload[1])
 
 
 def _as_int(value, name: str) -> int:
@@ -590,7 +629,13 @@ def _meta_from_wire(member) -> MetaInfo:
     )
 
 
-def _group_values(member, where: str) -> dict:
+def _group_values(group, wire_key: str, keys: tuple) -> dict:
+    """Leaf values of the object at keys inside a group; an absent object reads as empty."""
+    member, where = group, wire_key
+    for key in keys:
+        if not isinstance(member, dict):
+            raise SchemaError('"%s" is not an object' % where)
+        member, where = member.get(key, {}), key
     if not isinstance(member, dict):
         raise SchemaError('"%s" is not an object' % where)
     return {key: _as_str(value, key) for key, value in member.items() if not isinstance(value, dict)}
@@ -599,47 +644,17 @@ def _group_values(member, where: str) -> dict:
 def _data_from_wire(member) -> WeatherData | None:
     if not isinstance(member, dict):
         raise SchemaError('"Data" is not an object')
-    ptu = wind = precipitation = None
-    if "PTU" in member:
-        values = _group_values(member["PTU"], "PTU")
-        ptu = PtuBlock(
-            air_pressure=values.get("Air-Pressure", ""),
-            air_temperature=values.get("Air-Temperature", ""),
-            relative_humidity=values.get("Relative-Humidity", ""),
-        )
-    if "WIND" in member:
-        group = member["WIND"]
-        if not isinstance(group, dict):
-            raise SchemaError('"WIND" is not an object')
-        direction = _group_values(group.get("Direction", {}), "Direction")
-        speed = _group_values(group.get("Speed", {}), "Speed")
-        wind = WindBlock(
-            direction_min=direction.get("min", ""),
-            direction_ave=direction.get("ave", ""),
-            direction_max=direction.get("max", ""),
-            speed_min=speed.get("min", ""),
-            speed_ave=speed.get("ave", ""),
-            speed_max=speed.get("max", ""),
-        )
-    if "PRECIPITATION" in member:
-        group = member["PRECIPITATION"]
-        if not isinstance(group, dict):
-            raise SchemaError('"PRECIPITATION" is not an object')
-        rain = _group_values(group.get("Rain", {}), "Rain")
-        hail = _group_values(group.get("Hail", {}), "Hail")
-        precipitation = PrecipitationBlock(
-            rain_accumulation=rain.get("accumulation", "0"),
-            rain_duration=rain.get("duration", "0"),
-            rain_intensity=rain.get("intensity", "0"),
-            rain_peak=rain.get("peak", "0"),
-            hail_accumulation=hail.get("accumulation", "0"),
-            hail_duration=hail.get("duration", "0"),
-            hail_intensity=hail.get("intensity", "0"),
-            hail_peak=hail.get("peak", "0"),
-        )
-    if ptu is None and wind is None and precipitation is None:
-        return None
-    return WeatherData(ptu=ptu, wind=wind, precipitation=precipitation)
+    blocks = {}
+    for name, wire_key, block, holders in _DATA_LAYOUT:
+        if wire_key not in member:
+            continue
+        values = {}
+        for keys, leaves in holders:
+            found = _group_values(member[wire_key], wire_key, keys)
+            for leaf, field, default in leaves:
+                values[field] = found.get(leaf, default)
+        blocks[name] = block(**values)
+    return WeatherData(**blocks) if blocks else None
 
 
 def _info_from_wire(member) -> InfoPayload:
@@ -699,6 +714,8 @@ def decode(raw) -> Envelope:
         tree = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON at offset %d: %s" % (exc.pos, exc.msg), offset=exc.pos)
+    except (RecursionError, ValueError) as exc:  # nesting too deep, integer literal too long
+        raise ParseError("unparseable JSON: %s" % exc)
     if not isinstance(tree, dict) or "OpenWeatherMessage" not in tree:
         raise SchemaError('missing "OpenWeatherMessage" member')
     body = tree["OpenWeatherMessage"]

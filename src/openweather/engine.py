@@ -1,9 +1,12 @@
 """Per-session protocol state machine.
 
 The engine consumes decoded, validated envelopes and answers with a list
-of actions for the caller to carry out; it never touches a socket or a
-clock itself.  Time arrives as integer epoch milliseconds, so the same
-engine runs under the real clock and the simulator's virtual one.
+of actions for the caller to carry out: send a message, close the session,
+start or stop streaming to the peer.  A message that needs none of these
+(a receipt, a status) answers with an empty list.  The engine never
+touches a socket or a clock itself.  Time arrives as integer epoch
+milliseconds, so the same engine runs under the real clock and the
+simulator's virtual one.
 
 Session states: Idle (fresh connection), HandshakeSent (we opened),
 Established, Streaming (we are serving a real-time feed), Closed.
@@ -78,11 +81,6 @@ class CloseSession:
 
 
 @dataclass(frozen=True)
-class RegisterPeer:
-    record: PeerRecord
-
-
-@dataclass(frozen=True)
 class StartStream:
     pass
 
@@ -90,11 +88,6 @@ class StartStream:
 @dataclass(frozen=True)
 class StopStream:
     pass
-
-
-@dataclass(frozen=True)
-class StoreNothing:
-    """Explicit no-op: the message was consumed, nothing to do."""
 
 
 def default_services() -> dict:
@@ -199,19 +192,18 @@ class Engine:
 
         if code == ProtocolCode.HANDSHAKE:
             if state is SessionState.IDLE or state in _ACTIVE:
-                record = self._register(session, envelope.meta, now_ms)
+                self._register(session, envelope.meta, now_ms)
                 if state is SessionState.IDLE:
                     session.state = SessionState.ESTABLISHED
-                return [RegisterPeer(record), SendMessage(self.status_message(ProtocolCode.HANDSHAKE_S, now_ms))]
+                return [SendMessage(self.status_message(ProtocolCode.HANDSHAKE_S, now_ms))]
             return self._unexpected(now_ms)
 
         if code == ProtocolCode.HANDSHAKE_S:
-            if state is SessionState.HANDSHAKE_SENT:
-                record = self._register(session, envelope.meta, now_ms)
-                session.state = SessionState.ESTABLISHED
-                return [RegisterPeer(record)]
-            if state in _ACTIVE:
-                return [RegisterPeer(self._register(session, envelope.meta, now_ms))]
+            if state in _ANSWERABLE:
+                self._register(session, envelope.meta, now_ms)
+                if state is SessionState.HANDSHAKE_SENT:
+                    session.state = SessionState.ESTABLISHED
+                return []
             return self._unexpected(now_ms)
 
         if code == ProtocolCode.SERVICES_AVAILABLE and state in _ACTIVE:
@@ -224,7 +216,7 @@ class Engine:
             # the reply itself completes the exchange; no receipt goes back
             catalog = envelope.info.services if envelope.info else {}
             self.callbacks.on_service_catalog(session, dict(catalog))
-            return [StoreNothing()]
+            return []
 
         if code == ProtocolCode.LIST_PEERS and state in _ACTIVE:
             return self._serve_peer_list(envelope, now_ms)
@@ -233,10 +225,10 @@ class Engine:
             listing = envelope.info.peers if envelope.info else {}
             self._merge_listing(listing, now_ms)
             self.callbacks.on_peer_list(session, dict(listing))
-            return [StoreNothing()]
+            return []
 
         if code in (ProtocolCode.SERVICES_AVAILABLE_S, ProtocolCode.LIST_PEERS_S) and state in _ACTIVE:
-            return [StoreNothing()]
+            return []
 
         if code == ProtocolCode.REAL_TIME_DATA:
             if state is SessionState.ESTABLISHED:
@@ -255,21 +247,21 @@ class Engine:
 
         if code in (ProtocolCode.REAL_TIME_DATA_R, ProtocolCode.ON_DEMAND_DATA_R) and state in _ACTIVE:
             self.callbacks.on_weather_data(session, envelope, on_demand=(code == ProtocolCode.ON_DEMAND_DATA_R))
-            return [StoreNothing()]
+            return []
 
         if code in (ProtocolCode.REAL_TIME_DATA_S, ProtocolCode.ON_DEMAND_DATA_S) and state in _ACTIVE:
-            return [StoreNothing()]
+            return []
 
         if 600 <= code <= 699 and state in _ANSWERABLE:
             self.callbacks.on_error(session, code)
-            return [StoreNothing()]
+            return []
 
         return self._unexpected(now_ms)
 
     def _unexpected(self, now_ms: int) -> list:
         return [SendMessage(self.status_message(ProtocolCode.UNEXPECTED_MESSAGE, now_ms))]
 
-    def _register(self, session: Session, meta: MetaInfo, now_ms: int) -> PeerRecord:
+    def _register(self, session: Session, meta: MetaInfo, now_ms: int) -> None:
         record = PeerRecord(
             node_id=meta.node_id,
             peer_ip=meta.peer_ip,
@@ -284,7 +276,6 @@ class Engine:
         except TableFullError as exc:
             log.warning("%s", exc)
         session.remote = record
-        return record
 
     def _merge_listing(self, listing: dict, now_ms: int) -> None:
         for node_id, entry in listing.items():

@@ -73,7 +73,7 @@ class NodeRuntime:
             rng=rng,
         )
         self.sessions: dict = {}
-        self.subscribers: set = set()
+        self.subscribers: dict = {}  # subscribed keys in subscription order; values unused
         self._next_sample_ms = start_ms + generator.interval_ms if generator else None
         self._sweep_interval_ms = sweep_interval_ms
         self._next_sweep_ms = start_ms + sweep_interval_ms
@@ -103,7 +103,7 @@ class NodeRuntime:
         if session is not None:
             session.state = SessionState.CLOSED
             session.stream_active = False
-        self.subscribers.discard(key)
+        self.subscribers.pop(key, None)
 
     # -- inbound --------------------------------------------------------------
 
@@ -168,7 +168,7 @@ class NodeRuntime:
             if self.subscribers:
                 block = vendor.to_data_block(sample)
                 message = None
-                for key in sorted(self.subscribers, key=repr):
+                for key in self.subscribers:
                     if message is None:
                         message = encode(self.engine.realtime_message(block, tick)) + b"\n"
                     outputs.append(Outbound(key, message))
@@ -182,7 +182,7 @@ class NodeRuntime:
                     key = keys.get(id(session))
                     if key is None:
                         continue
-                    self.subscribers.discard(key)
+                    self.subscribers.pop(key, None)
                     outputs.append(Hangup(key, action.reason))
         return outputs
 
@@ -197,12 +197,11 @@ class NodeRuntime:
                 self.on_disconnect(key, now_ms)
                 outputs.append(Hangup(key, action.reason))
             elif isinstance(action, StartStream):
-                self.subscribers.add(key)
+                self.subscribers[key] = None
                 latest = self.store.latest()
                 if latest is not None:
                     message = self.engine.realtime_message(vendor.to_data_block(latest), now_ms)
                     outputs.append(Outbound(key, encode(message) + b"\n"))
             elif isinstance(action, StopStream):
-                self.subscribers.discard(key)
-            # RegisterPeer and StoreNothing need no transport work
+                self.subscribers.pop(key, None)
         return outputs

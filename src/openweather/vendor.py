@@ -22,10 +22,10 @@ float), so what the sensor printed is what the wire shows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .codec import PrecipitationBlock, PtuBlock, WeatherData, WindBlock
+from .codec import MEASUREMENT_GROUPS, WeatherData
 
 
 class VendorError(ValueError):
@@ -76,30 +76,8 @@ class NormalizedSample:
     hail_peak_hits: Decimal | None = None
 
 
-PTU_FIELDS = ("air_temperature_c", "relative_humidity_pct", "air_pressure_hpa")
-WIND_FIELDS = (
-    "wind_direction_min_deg",
-    "wind_direction_ave_deg",
-    "wind_direction_max_deg",
-    "wind_speed_min_ms",
-    "wind_speed_ave_ms",
-    "wind_speed_max_ms",
-)
-PRECIPITATION_FIELDS = (
-    "rain_accumulation_mm",
-    "rain_duration_s",
-    "rain_intensity_mmh",
-    "rain_peak_mmh",
-    "hail_accumulation_hits",
-    "hail_duration_s",
-    "hail_intensity_hits",
-    "hail_peak_hits",
-)
-GROUP_FIELDS = {
-    "ptu": PTU_FIELDS,
-    "wind": WIND_FIELDS,
-    "precipitation": PRECIPITATION_FIELDS,
-}
+# group name -> the NormalizedSample attributes it carries
+GROUP_FIELDS = {name: tuple(row.sample for row in rows) for name, (_, rows) in MEASUREMENT_GROUPS.items()}
 
 # key -> (NormalizedSample attribute, expected unit letter)
 BUILTIN_FIELD_MAP = {
@@ -200,54 +178,34 @@ def load_field_map(path) -> dict:
     return mapping
 
 
-def _text(value) -> str:
-    return "" if value is None else str(value)
-
-
-def _zero_text(value) -> str:
-    return "0" if value is None else str(value)
-
-
 def to_data_block(sample: NormalizedSample) -> WeatherData:
     """Shape a sample into the wire's Data payload.
 
     Groups without a single reading are left out (the station does not
-    offer that service), except precipitation, which a dry spell zero-fills.
-    A sample with no groups at all raises EmptySampleError.
+    offer that service), except those whose missing-value default is itself
+    a reading: precipitation's "0", which a dry spell zero-fills.
+    A sample with no readings at all raises EmptySampleError.
     """
-    has_ptu = any(getattr(sample, name) is not None for name in PTU_FIELDS)
-    has_wind = any(getattr(sample, name) is not None for name in WIND_FIELDS)
-    has_precipitation = any(getattr(sample, name) is not None for name in PRECIPITATION_FIELDS)
-    if not (has_ptu or has_wind or has_precipitation):
+    blocks = {}
+    has_reading = False
+    for name, (block, rows) in MEASUREMENT_GROUPS.items():
+        values = {}
+        group_read = False
+        for row in rows:
+            value = getattr(sample, row.sample)
+            if value is None:
+                values[row.field] = row.default
+            else:
+                values[row.field] = str(value)
+                group_read = True
+        if group_read:
+            has_reading = True
+        elif not rows[0].default:
+            continue
+        blocks[name] = block(**values)
+    if not has_reading:
         raise EmptySampleError("sample carries no measurements")
-    ptu = None
-    if has_ptu:
-        ptu = PtuBlock(
-            air_pressure=_text(sample.air_pressure_hpa),
-            air_temperature=_text(sample.air_temperature_c),
-            relative_humidity=_text(sample.relative_humidity_pct),
-        )
-    wind = None
-    if has_wind:
-        wind = WindBlock(
-            direction_min=_text(sample.wind_direction_min_deg),
-            direction_ave=_text(sample.wind_direction_ave_deg),
-            direction_max=_text(sample.wind_direction_max_deg),
-            speed_min=_text(sample.wind_speed_min_ms),
-            speed_ave=_text(sample.wind_speed_ave_ms),
-            speed_max=_text(sample.wind_speed_max_ms),
-        )
-    precipitation = PrecipitationBlock(
-        rain_accumulation=_zero_text(sample.rain_accumulation_mm),
-        rain_duration=_zero_text(sample.rain_duration_s),
-        rain_intensity=_zero_text(sample.rain_intensity_mmh),
-        rain_peak=_zero_text(sample.rain_peak_mmh),
-        hail_accumulation=_zero_text(sample.hail_accumulation_hits),
-        hail_duration=_zero_text(sample.hail_duration_s),
-        hail_intensity=_zero_text(sample.hail_intensity_hits),
-        hail_peak=_zero_text(sample.hail_peak_hits),
-    )
-    return WeatherData(ptu=ptu, wind=wind, precipitation=precipitation)
+    return WeatherData(**blocks)
 
 
 def sample_problems(sample: NormalizedSample) -> list:
@@ -271,13 +229,8 @@ def sample_problems(sample: NormalizedSample) -> list:
             problems.append("%s min/ave/max incomplete" % what)
         elif not low <= mid <= high:
             problems.append("%s min/ave/max out of order" % what)
-    for name in PRECIPITATION_FIELDS + ("wind_speed_min_ms", "wind_speed_ave_ms", "wind_speed_max_ms"):
+    for name in GROUP_FIELDS["precipitation"] + ("wind_speed_min_ms", "wind_speed_ave_ms", "wind_speed_max_ms"):
         value = getattr(sample, name)
         if value is not None and value < 0:
             problems.append("%s negative" % name)
     return problems
-
-
-# keep a stable public list of sample attribute names for callers that
-# iterate (mapping validation, generators)
-SAMPLE_FIELDS = tuple(f.name for f in dataclass_fields(NormalizedSample) if f.name != "timestamp_ms")

@@ -1,9 +1,11 @@
 """Wire codec: captured messages, canonical form, validation, round trips."""
 
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import captures
 from openweather.codec import (
@@ -304,6 +306,17 @@ def test_decode_rejects_bad_input():
     assert unknown.value.code == 400
 
 
+def test_decode_maps_every_parser_failure_to_parse_error():
+    too_deep = b"[" * 60000
+    too_long = b'{"OpenWeatherMessage": {"Type": ' + b"1" * 5000 + b"}}"
+    for frame in (too_deep, too_long):
+        assert len(frame) < 64 * 1024  # both pass the transport's framing cap
+        with pytest.raises(ParseError):
+            decode(frame)
+        with pytest.raises(ParseError):
+            decode(frame.decode("ascii"))
+
+
 def test_error_band_is_registered():
     for code in (600, 601, 602, 650, 699):
         assert is_registered(code)
@@ -464,3 +477,122 @@ def test_round_trip_identity_holds():
         again = decode(raw)
         assert again == envelope
         assert encode(again) == raw
+
+
+# -- Data decoding, property-based --------------------------------------------------
+#
+# The "Data" schema written out here on its own, as an oracle for the codec:
+# (wire group, block attribute, path inside the group, missing-value default).
+
+DATA_FIELDS = (
+    ("PTU", "air_pressure", ("Air-Pressure",), ""),
+    ("PTU", "air_temperature", ("Air-Temperature",), ""),
+    ("PTU", "relative_humidity", ("Relative-Humidity",), ""),
+    ("WIND", "direction_min", ("Direction", "min"), ""),
+    ("WIND", "direction_ave", ("Direction", "ave"), ""),
+    ("WIND", "direction_max", ("Direction", "max"), ""),
+    ("WIND", "speed_min", ("Speed", "min"), ""),
+    ("WIND", "speed_ave", ("Speed", "ave"), ""),
+    ("WIND", "speed_max", ("Speed", "max"), ""),
+    ("PRECIPITATION", "rain_accumulation", ("Rain", "accumulation"), "0"),
+    ("PRECIPITATION", "rain_duration", ("Rain", "duration"), "0"),
+    ("PRECIPITATION", "rain_intensity", ("Rain", "intensity"), "0"),
+    ("PRECIPITATION", "rain_peak", ("Rain", "peak"), "0"),
+    ("PRECIPITATION", "hail_accumulation", ("Hail", "accumulation"), "0"),
+    ("PRECIPITATION", "hail_duration", ("Hail", "duration"), "0"),
+    ("PRECIPITATION", "hail_intensity", ("Hail", "intensity"), "0"),
+    ("PRECIPITATION", "hail_peak", ("Hail", "peak"), "0"),
+)
+GROUP_ATTRS = {"PTU": "ptu", "WIND": "wind", "PRECIPITATION": "precipitation"}
+EXTRA_KEYS = ("Extra", "Note", "unit")
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+LEAVES = st.one_of(st.text(alphabet="-.0159Eaz \"\\\u00e9\u2603", max_size=6), st.integers(), FINITE_FLOATS)
+NOT_OBJECTS = st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.integers(), FINITE_FLOATS)
+ANY_VALUE = st.one_of(LEAVES, NOT_OBJECTS, st.booleans(), st.just({}), st.just({"x": None}))
+
+
+@st.composite
+def object_or_not(draw, valid):
+    """Mostly the given object; sometimes null, a list or a number in its place."""
+    return draw(valid) if draw(st.integers(0, 7)) else draw(NOT_OBJECTS)
+
+
+@st.composite
+def leaf_objects(draw, keys):
+    members = {}
+    for key in draw(st.lists(st.sampled_from(keys + EXTRA_KEYS), unique=True)):
+        # mostly well-formed leaves (a nested object is skipped); now and then anything
+        members[key] = draw(st.one_of(LEAVES, st.just({}))) if draw(st.integers(0, 11)) else draw(ANY_VALUE)
+    return members
+
+
+@st.composite
+def data_members(draw):
+    member = {}
+    for group in draw(st.lists(st.sampled_from(tuple(GROUP_ATTRS) + EXTRA_KEYS), unique=True)):
+        if group not in GROUP_ATTRS:
+            member[group] = draw(ANY_VALUE)
+            continue
+        paths = [path for wire, _, path, _ in DATA_FIELDS if wire == group]
+        if len(paths[0]) == 1:
+            member[group] = draw(object_or_not(leaf_objects(tuple(path[0] for path in paths))))
+            continue
+        objects = {}
+        for key in draw(st.lists(st.sampled_from(sorted({path[0] for path in paths}) + list(EXTRA_KEYS)), unique=True)):
+            leaves = tuple(path[1] for path in paths if path[0] == key)
+            objects[key] = draw(object_or_not(leaf_objects(leaves))) if leaves else draw(ANY_VALUE)
+        member[group] = draw(object_or_not(st.just(objects)))
+    return member
+
+
+def wire_text(leaf) -> str:
+    # floats reach the decoder as their JSON text, integers as their digits
+    return leaf if isinstance(leaf, str) else json.dumps(leaf)
+
+
+def expected_blocks(member) -> dict | None:
+    """group attribute -> {field: text} for each group present; None where decode must reject."""
+    blocks = {}
+    for group, attr in GROUP_ATTRS.items():
+        if group not in member:
+            continue
+        fields = {}
+        for wire, name, path, default in DATA_FIELDS:
+            if wire != group:
+                continue
+            values = member[group]
+            for key in path[:-1]:
+                if not isinstance(values, dict):
+                    return None
+                values = values.get(key, {})
+            if not isinstance(values, dict):
+                return None
+            for value in values.values():
+                if isinstance(value, bool) or not isinstance(value, (dict, str, int, float)):
+                    return None
+            leaf = values.get(path[-1])
+            fields[name] = default if leaf is None or isinstance(leaf, dict) else wire_text(leaf)
+        blocks[attr] = fields
+    return blocks
+
+
+@given(data_members())
+def test_data_decoding_matches_the_schema(member):
+    header = json.loads(encode(Envelope(type_code=100, meta=meta())))["OpenWeatherMessage"]["MetaInfo"]
+    raw = json.dumps({"OpenWeatherMessage": {"Type": 300, "MetaInfo": header, "Data": member}})
+    expected = expected_blocks(member)
+    if expected is None:
+        with pytest.raises(SchemaError):
+            decode(raw)
+        return
+    data = decode(raw).data
+    if not expected:
+        assert data is None
+        return
+    for attr in GROUP_ATTRS.values():
+        block = getattr(data, attr)
+        if attr in expected:
+            assert dataclasses.asdict(block) == expected[attr]
+        else:
+            assert block is None

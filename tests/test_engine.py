@@ -21,14 +21,12 @@ from openweather.engine import (
     CloseSession,
     Engine,
     NodeConfig,
-    RegisterPeer,
     SendMessage,
     Session,
     SessionState,
     StartStream,
     StateError,
     StopStream,
-    StoreNothing,
     build_metainfo,
     default_services,
 )
@@ -38,6 +36,13 @@ from openweather.vendor import to_data_block
 
 LOCATION = UtmLocation(6672224, 385565, "35V")
 REGISTRY = (100, 101, 102, 103, 104, 105, 106, 107, 200, 201, 202, 300, 301, 500, 501, 600, 601, 602)
+# state -> the codes (of REGISTRY plus 640) consumed there without any answer:
+# receipts, statuses and errors; a closed session is silent to every code
+SILENT = {
+    SessionState.HANDSHAKE_SENT: (101, 600, 601, 602, 640),
+    SessionState.ESTABLISHED: (101, 103, 104, 105, 106, 300, 301, 500, 501, 600, 601, 602, 640),
+    SessionState.STREAMING: (101, 103, 104, 105, 106, 300, 301, 500, 501, 600, 601, 602, 640),
+}
 
 
 def config(n: int = 1, **overrides) -> NodeConfig:
@@ -94,12 +99,10 @@ def established_engine(**overrides):
 def test_inbound_handshake_registers_and_confirms():
     engine = Engine(config())
     session = Session()
-    actions = engine.handle_message(session, inbound(100), now_ms=1000)
+    (send,) = engine.handle_message(session, inbound(100), now_ms=1000)
     assert session.state is SessionState.ESTABLISHED
-    assert isinstance(actions[0], RegisterPeer)
-    assert actions[0].record.node_id == "%064x" % 2
-    assert isinstance(actions[1], SendMessage)
-    reply = actions[1].envelope
+    assert session.remote.node_id == "%064x" % 2
+    reply = send.envelope
     assert reply.type_code == 101
     assert reply.meta.node_id == engine.config.node_id
     assert validate(reply).ok
@@ -114,15 +117,18 @@ def test_outbound_handshake_completes_on_confirmation():
     assert session.state is SessionState.HANDSHAKE_SENT
     actions = engine.handle_message(session, inbound(101), now_ms=50)
     assert session.state is SessionState.ESTABLISHED
-    assert isinstance(actions[0], RegisterPeer)
+    assert actions == []
     assert session.remote is not None and session.remote.node_id == "%064x" % 2
+    assert engine.peer_table.get("%064x" % 2).last_rx == 50
 
 
 def test_handshake_refresh_on_established_session():
     engine, session = established_engine()
     actions = engine.handle_message(session, inbound(100), now_ms=0)
     assert session.state is SessionState.ESTABLISHED
-    assert [type(a) for a in actions] == [RegisterPeer, SendMessage]
+    assert [type(a) for a in actions] == [SendMessage]
+    assert session.remote.node_id == "%064x" % 2
+    assert "%064x" % 2 in engine.peer_table
 
 
 def test_initiate_handshake_requires_idle():
@@ -160,7 +166,7 @@ def test_service_catalog_receipt_notifies_without_echo():
     session = Session(state=SessionState.ESTABLISHED)
     # the reply closes the exchange: two messages per operation, total
     actions = engine.handle_message(session, inbound(103, **payload_for(103)), now_ms=0)
-    assert actions == [StoreNothing()]
+    assert actions == []
     assert caught["services"] == default_services()
 
 
@@ -191,7 +197,7 @@ def test_peer_list_receipt_merges_without_echo():
     actions = engine.handle_message(
         session, inbound(105, info=InfoPayload(peers=listing)), now_ms=7
     )
-    assert actions == [StoreNothing()]
+    assert actions == []
     assert "c" * 64 in engine.peer_table
     assert engine.peer_table.get("c" * 64).last_rx == 7
 
@@ -199,7 +205,7 @@ def test_peer_list_receipt_merges_without_echo():
 def test_status_codes_are_swallowed():
     engine, session = established_engine()
     for code in (104, 106, 500, 501):
-        assert engine.handle_message(session, inbound(code), now_ms=0) == [StoreNothing()]
+        assert engine.handle_message(session, inbound(code), now_ms=0) == []
 
 
 # -- real-time stream --------------------------------------------------------------------
@@ -341,13 +347,13 @@ def test_error_statuses_reach_the_callback():
     engine = Engine(config(), callbacks=Hooks())
     session = Session(state=SessionState.ESTABLISHED)
     for code in (600, 601, 602, 650):
-        assert engine.handle_message(session, inbound(code), 0) == [StoreNothing()]
+        assert engine.handle_message(session, inbound(code), 0) == []
     assert seen == [600, 601, 602, 650]
 
 
 def test_exhaustive_dispatch_is_total_and_clean():
-    """Every (state, code) pair yields known actions; envelopes validate."""
-    action_types = (SendMessage, CloseSession, RegisterPeer, StartStream, StopStream, StoreNothing)
+    """Every (state, code) pair yields known actions or listed silence; envelopes validate."""
+    action_types = (SendMessage, CloseSession, StartStream, StopStream)
     for state in SessionState:
         for code in REGISTRY + (640,):
             engine = Engine(config(), sample_store=SampleStore())
@@ -356,6 +362,9 @@ def test_exhaustive_dispatch_is_total_and_clean():
             actions = engine.handle_message(session, message, now_ms=5)
             if state is SessionState.CLOSED:
                 assert actions == []
+                continue
+            if code in SILENT.get(state, ()):
+                assert actions == [], (state, code)
                 continue
             assert actions, (state, code)
             for action in actions:

@@ -67,6 +67,15 @@ def test_malformed_frame_answered_with_unexpected_status():
     assert decode(reply.frame).type_code == 600
 
 
+def test_hostile_frames_answered_with_a_single_unexpected_status():
+    alice, bob = established_pair()
+    too_deep = b"[" * 60000
+    too_long = b'{"OpenWeatherMessage": {"Type": ' + b"1" * 5000 + b"}}"
+    for now_ms, frame in enumerate((too_deep, too_long), start=5):
+        (reply,) = bob.on_frame("conn", frame, now_ms=now_ms)
+        assert decode(reply.frame).type_code == 600
+
+
 def test_invalid_but_parseable_frame_answered_with_unexpected_status():
     alice, bob = established_pair()
     message = encode(alice.engine.status_message(102, 7))
@@ -81,7 +90,7 @@ def test_stream_fan_out_and_cadence():
     outputs = pump(alice, bob, alice.request_realtime("conn", 1500), 1500)
     # the freshest stored sample goes out immediately on subscription
     assert [decode(o.frame).type_code for o in outputs] == [300]
-    assert bob.subscribers == {"conn"}
+    assert list(bob.subscribers) == ["conn"]
     due = bob.next_due_ms()
     assert due == 2000
     ticked = [o for o in bob.on_tick(2000) if isinstance(o, Outbound)]
@@ -91,8 +100,20 @@ def test_stream_fan_out_and_cadence():
     # unsubscribing stops the fan-out
     confirm = pump(alice, bob, alice.stop_realtime("conn", 2500), 2500)
     assert [decode(o.frame).type_code for o in confirm] == [500]
-    assert bob.subscribers == set()
+    assert list(bob.subscribers) == []
     assert all(not isinstance(o, Outbound) for o in bob.on_tick(3000))
+
+
+def test_stream_fan_out_follows_subscription_order():
+    alice = runtime_for(1)
+    bob = runtime_for(2, generator=SampleGenerator(GeneratorConfig(interval_ms=1000)))
+    keys = ["zulu", "mike", "alpha"]
+    assert sorted(keys, key=repr) == keys[::-1]
+    for key in keys:
+        pump(bob, alice, pump(alice, bob, alice.connect(key, 0), 0), 0)
+        pump(alice, bob, alice.request_realtime(key, 500), 500)
+    assert list(bob.subscribers) == keys
+    assert [o.key for o in bob.on_tick(1000) if isinstance(o, Outbound)] == keys
 
 
 def test_stream_without_any_stored_sample_sends_nothing_until_tick():
@@ -152,7 +173,7 @@ def test_disconnect_clears_subscription():
     alice, bob = established_pair()
     bob.on_tick(1000)
     pump(alice, bob, alice.request_realtime("conn", 1500), 1500)
-    assert bob.subscribers == {"conn"}
+    assert list(bob.subscribers) == ["conn"]
     bob.on_disconnect("conn", 1600)
-    assert bob.subscribers == set()
+    assert list(bob.subscribers) == []
     assert bob.session("conn").state is SessionState.CLOSED

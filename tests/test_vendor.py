@@ -1,5 +1,6 @@
 """Vendor sensor-line normalization: printed lines, fuzz, mapping files."""
 
+import dataclasses
 import random
 import string
 from decimal import Decimal
@@ -7,6 +8,7 @@ from decimal import Decimal
 import pytest
 
 from openweather import vendor
+from openweather.codec import MEASUREMENT_GROUPS, MEASUREMENTS
 from openweather.vendor import (
     EmptySampleError,
     FieldValueError,
@@ -178,3 +180,12 @@ def test_builtin_map_is_not_mutated_by_extensions():
     before = dict(vendor.BUILTIN_FIELD_MAP)
     parse_line(LINE_PTU, field_map={"Zz": ("rain_peak_mmh", "M")})
     assert vendor.BUILTIN_FIELD_MAP == before
+
+
+def test_measurement_table_covers_every_block_field_and_sample_attribute():
+    for block, rows in MEASUREMENT_GROUPS.values():
+        fields = [(f.name, f.default) for f in dataclasses.fields(block)]
+        assert fields == [(row.field, row.default) for row in rows]
+    samples = [f.name for f in dataclasses.fields(NormalizedSample) if f.name != "timestamp_ms"]
+    assert sorted(row.sample for row in MEASUREMENTS) == sorted(samples)
+    assert len({(row.wire_group, row.path) for row in MEASUREMENTS}) == len(MEASUREMENTS) == 17
