@@ -30,13 +30,20 @@ from .sensors import SampleGenerator, SampleStore
 
 log = logging.getLogger(__name__)
 
+STREAM_CODE = int(ProtocolCode.REAL_TIME_DATA_R)
+
 
 @dataclass(frozen=True)
 class Outbound:
-    """A frame to put on the wire for the given connection key."""
+    """A frame to put on the wire for the given connection key.
+
+    code is the frame's message type code, known where the frame was built,
+    so a transport can label it without decoding it again.
+    """
 
     key: object
     frame: bytes
+    code: int
 
 
 @dataclass(frozen=True)
@@ -121,12 +128,19 @@ class NodeRuntime:
             log.info("invalid envelope on %r: %s", key, "; ".join(report.problems))
             session.last_rx = now_ms
             return self._reply_unexpected(key, now_ms)
-        actions = self.engine.handle_message(session, envelope, now_ms)
+        try:
+            actions = self.engine.handle_message(session, envelope, now_ms)
+        except Exception:
+            # one peer's frame must not stop the node: the transport loop
+            # calling us serves every other connection too
+            log.warning("dispatch failed on %r", key, exc_info=True)
+            session.last_rx = now_ms
+            return self._reply_unexpected(key, now_ms)
         return self._perform(actions, key, now_ms)
 
     def _reply_unexpected(self, key, now_ms: int) -> list:
         status = self.engine.status_message(ProtocolCode.UNEXPECTED_MESSAGE, now_ms)
-        return [Outbound(key, encode(status) + b"\n")]
+        return [Outbound(key, encode(status) + b"\n", int(status.type_code))]
 
     # -- requester operations --------------------------------------------------
 
@@ -148,8 +162,13 @@ class NodeRuntime:
 
     # -- timers ---------------------------------------------------------------
 
-    def next_due_ms(self) -> int | None:
-        """When on_tick next has work: sampling or the keep-alive sweep."""
+    def next_due_ms(self) -> int:
+        """When on_tick next has work: sampling or the keep-alive sweep.
+
+        Only on_tick moves these timers, so the answer stays valid until the
+        next on_tick call; a caller may cache it per node and skip on_tick
+        for nodes not yet due.
+        """
         dues = [self._next_sweep_ms]
         if self._next_sample_ms is not None:
             dues.append(self._next_sample_ms)
@@ -171,7 +190,7 @@ class NodeRuntime:
                 for key in self.subscribers:
                     if message is None:
                         message = encode(self.engine.realtime_message(block, tick)) + b"\n"
-                    outputs.append(Outbound(key, message))
+                    outputs.append(Outbound(key, message, STREAM_CODE))
         while self._next_sweep_ms <= now_ms:
             sweep_at = self._next_sweep_ms
             self._next_sweep_ms = sweep_at + self._sweep_interval_ms
@@ -192,7 +211,8 @@ class NodeRuntime:
         outputs = []
         for action in actions:
             if isinstance(action, SendMessage):
-                outputs.append(Outbound(key, encode(action.envelope) + b"\n"))
+                envelope = action.envelope
+                outputs.append(Outbound(key, encode(envelope) + b"\n", int(envelope.type_code)))
             elif isinstance(action, CloseSession):
                 self.on_disconnect(key, now_ms)
                 outputs.append(Hangup(key, action.reason))
@@ -200,8 +220,8 @@ class NodeRuntime:
                 self.subscribers[key] = None
                 latest = self.store.latest()
                 if latest is not None:
-                    message = self.engine.realtime_message(vendor.to_data_block(latest), now_ms)
-                    outputs.append(Outbound(key, encode(message) + b"\n"))
+                    message = self.engine.realtime_message(vendor.to_data_block(latest), latest.timestamp_ms)
+                    outputs.append(Outbound(key, encode(message) + b"\n", STREAM_CODE))
             elif isinstance(action, StopStream):
                 self.subscribers.pop(key, None)
         return outputs

@@ -19,7 +19,11 @@ A run yields one trace event per emitted or delivered message::
 
     t=40 node1->node2 send type=100 bytes=375
 
-where bytes counts the message without its framing newline.
+where bytes counts the message without its framing newline, and type is
+the code the sending node attached to the frame (no frame is decoded just
+to label it).  Each step ticks only the nodes whose timers are due: a
+node's next_due_ms() can change only inside its own on_tick, so the runner
+caches it per node and refreshes it after each tick.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import random
 import shlex
 from dataclasses import dataclass, field
 
-from .codec import UtmLocation, decode, parse_timestamp
+# decode is unused here but stays a module attribute: bench/tracer.py wraps scenario.decode
+from .codec import UtmLocation, decode, parse_timestamp  # noqa: F401
 from .engine import NodeConfig, StateError
 from .identity import random_node_id
 from .node import Hangup, NodeRuntime, Outbound
@@ -237,7 +242,12 @@ class _SimNode:
 
 
 class SimRunner:
-    """Execute a scenario deterministically, collecting a message trace."""
+    """Execute a scenario deterministically, collecting a message trace.
+
+    Each step ticks, in name order, only the nodes whose cached
+    next_due_ms() has come; the cache entry of a node is refreshed right
+    after its on_tick, the only call that moves its timers.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -249,11 +259,11 @@ class SimRunner:
         self._by_id: dict = {}  # conn_id -> VirtualConnection, survives hangups
         self._queue = list(scenario.commands)
         self.trace: list = []
+        self._names = sorted(self.nodes)
+        # name -> next_due_ms() of its runtime, valid until that node's next on_tick
+        self._due = {name: self.nodes[name].runtime.next_due_ms() for name in self._names}
 
     # -- plumbing --------------------------------------------------------------
-
-    def _frame_code(self, frame: bytes) -> int:
-        return int(decode(frame.rstrip(b"\n")).type_code)
 
     def _emit(self, src: str, outputs: list, now_ms: int) -> None:
         for output in outputs:
@@ -266,11 +276,11 @@ class SimRunner:
                         src,
                         dst,
                         "send",
-                        self._frame_code(output.frame),
+                        output.code,
                         len(output.frame) - 1,
                     )
                 )
-                self.net.send(conn, src, output.frame)
+                self.net.send(conn, src, output.frame, output.code)
             elif isinstance(output, Hangup):
                 conn = output.key
                 dst = conn.other(src)
@@ -340,12 +350,10 @@ class SimRunner:
                 dues.append(network)
             if self._queue:
                 dues.append(self._queue[0].time_ms)
-            dues = [t for t in dues if t <= horizon]
             # sensor timers always run so on-demand lookups can reach back
-            for name in sorted(self.nodes):
-                due = self.nodes[name].runtime.next_due_ms()
-                if due is not None and due <= horizon:
-                    dues.append(due)
+            if self._due:
+                dues.append(min(self._due.values()))
+            dues = [t for t in dues if t <= horizon]
             if not dues:
                 break
             now = min(dues)
@@ -357,7 +365,7 @@ class SimRunner:
                         delivery.src,
                         delivery.dst,
                         "recv",
-                        self._frame_code(frame),
+                        delivery.code,
                         len(frame) - 1,
                     )
                 )
@@ -366,10 +374,11 @@ class SimRunner:
                 self._emit(delivery.dst, outputs, delivery.time_ms)
             while self._queue and self._queue[0].time_ms <= now:
                 self._execute(self._queue.pop(0), now)
-            for name in sorted(self.nodes):
-                runtime = self.nodes[name].runtime
-                outputs = runtime.on_tick(now)
-                self._emit(name, outputs, now)
+            for name in self._names:
+                if self._due[name] <= now:
+                    runtime = self.nodes[name].runtime
+                    self._emit(name, runtime.on_tick(now), now)
+                    self._due[name] = runtime.next_due_ms()
         return self.trace
 
     def _conn_for(self, delivery):

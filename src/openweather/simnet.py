@@ -6,6 +6,8 @@ takes ceil(bits / bandwidth) whole milliseconds to serialize, then rides
 the one-way latency; back-to-back sends queue exactly as on a real serial
 pipe.  Deliveries come out of advance() ordered by (time, connection,
 sequence), so two runs of the same script produce identical traces.
+Each Delivery carries the type code its sender passed to send(), so the
+receiving side can label a frame without decoding it.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class Delivery:
-    """A frame arriving at its destination."""
+    """A frame arriving at its destination, with its sender's type code."""
 
     time_ms: int
     conn_id: int
     src: str
     dst: str
     frame: bytes
+    code: int = 0
 
 
 class VirtualConnection:
@@ -106,8 +109,8 @@ class VirtualNetwork:
         self._next_conn += 1
         return conn
 
-    def send(self, conn: VirtualConnection, src: str, frame: bytes) -> int | None:
-        """Queue a frame; returns its delivery time, or None when lost."""
+    def send(self, conn: VirtualConnection, src: str, frame: bytes, code: int = 0) -> int | None:
+        """Queue a frame tagged with its type code; returns its delivery time, or None when lost."""
         dst = conn.other(src)
         spec = self.link(src, dst)
         now = self.clock.now_ms
@@ -122,7 +125,7 @@ class VirtualNetwork:
         self._seq += 1
         heapq.heappush(
             self._pending,
-            (arrival, conn.conn_id, self._seq, Delivery(arrival, conn.conn_id, src, dst, bytes(frame))),
+            (arrival, conn.conn_id, self._seq, Delivery(arrival, conn.conn_id, src, dst, bytes(frame), code)),
         )
         return arrival
 

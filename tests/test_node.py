@@ -1,9 +1,10 @@
 """Node runtime: frames in, frames out, timers, stream fan-out."""
 
+import logging
 from decimal import Decimal
 
-from openweather.codec import UtmLocation, decode, encode
-from openweather.engine import NodeConfig, SessionState
+from openweather.codec import UtmLocation, decode, encode, parse_timestamp
+from openweather.engine import Engine, NodeConfig, SessionState
 from openweather.node import Hangup, NodeRuntime, Outbound
 from openweather.sensors import GeneratorConfig, SampleGenerator, SampleStore, VendorLineSource
 
@@ -74,6 +75,63 @@ def test_hostile_frames_answered_with_a_single_unexpected_status():
     for now_ms, frame in enumerate((too_deep, too_long), start=5):
         (reply,) = bob.on_frame("conn", frame, now_ms=now_ms)
         assert decode(reply.frame).type_code == 600
+
+
+def test_dispatch_error_answered_with_unexpected_status(monkeypatch, caplog):
+    alice, bob = established_pair()
+    dispatch = Engine.handle_message
+
+    def explode(self, session, envelope, now_ms):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Engine, "handle_message", explode)
+    with caplog.at_level(logging.WARNING, logger="openweather.node"):
+        (reply,) = bob.on_frame("conn", encode(alice.engine.status_message(102, 5)), now_ms=5)
+    assert reply.code == 600 and decode(reply.frame[:-1]).type_code == 600
+    assert bob.session("conn").last_rx == 5
+    assert "RuntimeError: boom" in caplog.text  # the traceback is logged
+    # the node carries on: the next good frame is dispatched as usual
+    monkeypatch.setattr(Engine, "handle_message", dispatch)
+    replies = pump(alice, bob, alice.request_services("conn", 6), 6)
+    assert [o.code for o in replies] == [103]
+
+
+def test_every_outbound_carries_its_frames_type_code():
+    alice = runtime_for(1)
+    bob = runtime_for(2, generator=SampleGenerator(GeneratorConfig(interval_ms=1000)))
+    sent = []
+
+    def talk(requests, now_ms):
+        """alice asks bob; bob's replies go back to alice."""
+        replies = pump(alice, bob, requests, now_ms)
+        sent.extend(requests + replies + pump(bob, alice, replies, now_ms))
+
+    talk(alice.connect("conn", 0), 0)
+    sent.extend(bob.on_tick(1000))
+    talk(alice.request_services("conn", 1100), 1100)
+    talk(alice.request_peers("conn", 1200), 1200)
+    talk(alice.request_realtime("conn", 1500), 1500)
+    sent.extend(bob.on_tick(2000))
+    talk(alice.request_on_demand("conn", ["PTU"], "1970-01-01T00:00:01Z", 2500), 2500)
+    talk(alice.request_on_demand("conn", ["PTU"], "1970-01-01T00:00:59Z", 2600), 2600)
+    talk(alice.stop_realtime("conn", 2700), 2700)
+    sent.extend(bob.on_frame("conn", b"[" * 60000, 2800))
+    sent.extend(bob.on_frame("conn", b'{ "OpenWeatherMessage" : { "Type" : 100 } }', 2900))
+    outbound = [o for o in sent if isinstance(o, Outbound)]
+    for output in outbound:
+        assert type(output.code) is int
+        assert output.code == decode(output.frame[:-1]).type_code
+    assert [o.code for o in outbound] == [100, 101, 102, 103, 107, 105, 200, 300, 300, 201, 301, 201, 601, 202, 500, 600, 600]
+
+
+def test_first_stream_frame_carries_its_samples_time():
+    alice, bob = established_pair()
+    bob.on_tick(1000)
+    # the subscription lands between ticks; later ticks catch up on 2000 and 3000
+    frames = pump(alice, bob, alice.request_realtime("conn", 3500), 3500) + bob.on_tick(3500)
+    messages = [decode(o.frame[:-1]) for o in frames]
+    assert [m.type_code for m in messages] == [300, 300, 300]
+    assert [parse_timestamp(m.meta.timestamp) for m in messages] == [1000, 2000, 3000]
 
 
 def test_invalid_but_parseable_frame_answered_with_unexpected_status():

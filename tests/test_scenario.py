@@ -3,11 +3,14 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from openweather.codec import parse_timestamp
+from openweather.codec import decode, format_timestamp, parse_timestamp
+from openweather.node import Outbound
 from openweather.scenario import (
     Command,
     ScenarioError,
+    SimRunner,
     TraceEvent,
     parse_scenario,
     run_scenario,
@@ -251,3 +254,126 @@ def test_until_bounds_the_run():
     assert all(e.time_ms <= 1500 for e in bounded)
     longer = run_scenario(text, until_ms=4000)
     assert len(longer) > len(bounded)
+
+
+class ReferenceRunner(SimRunner):
+    """The simulator loop written the plain way, as an oracle.
+
+    Every step ticks every node, and every frame is labelled by decoding
+    it; the runner under test ticks only due nodes and reads the type code
+    the sender attached.
+    """
+
+    def _label(self, frame: bytes) -> int:
+        return int(decode(frame.rstrip(b"\n")).type_code)
+
+    def _emit(self, src, outputs, now_ms):
+        for output in outputs:
+            conn = output.key
+            dst = conn.other(src)
+            if isinstance(output, Outbound):
+                relative = now_ms - self.scenario.start_ms
+                self.trace.append(
+                    TraceEvent(relative, src, dst, "send", self._label(output.frame), len(output.frame) - 1)
+                )
+                self.net.send(conn, src, output.frame)
+            else:
+                self.nodes[dst].runtime.on_disconnect(conn, now_ms)
+                self._conns.pop(frozenset((src, dst)), None)
+
+    def run(self, until_ms=None):
+        if until_ms is None:
+            last = self._queue[-1].time_ms if self._queue else self.scenario.start_ms
+            horizon = last + 5000
+        else:
+            horizon = self.scenario.start_ms + until_ms
+        while True:
+            dues = []
+            network = self.net.next_event_ms()
+            if network is not None:
+                dues.append(network)
+            if self._queue:
+                dues.append(self._queue[0].time_ms)
+            dues.extend(self.nodes[name].runtime.next_due_ms() for name in sorted(self.nodes))
+            dues = [t for t in dues if t <= horizon]
+            if not dues:
+                break
+            now = min(dues)
+            for delivery in self.net.advance(now - self.net.clock.now_ms):
+                frame = delivery.frame
+                relative = delivery.time_ms - self.scenario.start_ms
+                self.trace.append(
+                    TraceEvent(relative, delivery.src, delivery.dst, "recv", self._label(frame), len(frame) - 1)
+                )
+                runtime = self.nodes[delivery.dst].runtime
+                outputs = runtime.on_frame(self._conn_for(delivery), frame.rstrip(b"\n"), delivery.time_ms)
+                self._emit(delivery.dst, outputs, delivery.time_ms)
+            while self._queue and self._queue[0].time_ms <= now:
+                self._execute(self._queue.pop(0), now)
+            for name in sorted(self.nodes):
+                self._emit(name, self.nodes[name].runtime.on_tick(now), now)
+        return self.trace
+
+
+@st.composite
+def scripts(draw):
+    """Small random scenarios: mixed timers and links, some lossy.
+
+    Each chosen pair handshakes first; then either end discovers, lists
+    peers or fetches, and the dialling end may stream and later stop.
+    A lost frame or an expired session can still end a script early.
+    """
+    names = ["n%d" % i for i in range(draw(st.integers(2, 6)))]
+    lines = []
+    for name in names:
+        interval = draw(st.sampled_from((250, 1000, 3000, 60000)))
+        keep_alive = draw(st.sampled_from((3000, 120000, 120000)))
+        lines.append("node %s interval=%d keep-alive=%d" % (name, interval, keep_alive))
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            bandwidth = draw(st.sampled_from((56_000, 256_000, 10_000_000)))
+            latency = draw(st.integers(0, 80))
+            loss = draw(st.sampled_from((0.0, 0.0, 0.0, 0.02, 0.2)))
+            lines.append("link %s %s latency_ms=%d bandwidth=%d loss=%g" % (a, b, latency, bandwidth, loss))
+    ordered_pairs = st.permutations(names).map(lambda p: tuple(p[:2]))
+    pairs = draw(st.lists(ordered_pairs, min_size=1, max_size=4, unique_by=frozenset))
+    at = st.integers(1000, 12000)
+    for a, b in pairs:
+        lines.append("at %d %s handshake %s" % (draw(st.integers(0, 500)), a, b))
+        for _ in range(draw(st.integers(0, 4))):
+            node, peer = draw(st.sampled_from(((a, b), (b, a))))
+            verb = draw(st.sampled_from(("discover", "peers", "fetch")))
+            command = "at %d %s %s %s" % (draw(at), node, verb, peer)
+            if verb == "fetch":
+                command += " " + format_timestamp(1000 * draw(st.integers(0, 10)))
+                command += draw(st.sampled_from(("", " PTU", " PTU,WIND")))
+            lines.append(command)
+        if draw(st.booleans()):
+            begin = draw(at)
+            lines.append("at %d %s stream %s" % (begin, a, b))
+            if draw(st.booleans()):
+                lines.append("at %d %s stop %s" % (begin + draw(st.integers(1, 5000)), a, b))
+    return "\n".join(lines) + "\n"
+
+
+def outcome(runner: SimRunner, chunk_ms):
+    """The rendered trace plus the error that stopped the script, if any."""
+    error = None
+    try:
+        if chunk_ms is None:
+            runner.run()
+        else:
+            for until in range(chunk_ms, 20000, chunk_ms):
+                runner.run(until_ms=until)
+    except ScenarioError as exc:
+        error = str(exc)
+    return [event.render() for event in runner.trace], error
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scripts(), st.sampled_from((None, 700, 3000)))
+def test_runner_matches_the_tick_every_node_reference(text, chunk_ms):
+    scenario = parse_scenario(text)
+    got = outcome(SimRunner(scenario), chunk_ms)
+    assert got == outcome(ReferenceRunner(scenario), chunk_ms)
+    assert got == outcome(SimRunner(scenario), chunk_ms)

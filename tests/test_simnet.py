@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from openweather.simnet import LinkSpec, NoLinkError, SimError, VirtualNetwork
+from openweather.simnet import Delivery, LinkSpec, NoLinkError, SimError, VirtualNetwork
 
 
 def network(latency_ms=0, bandwidth_bps=56000, loss=0.0, seed=0):
@@ -139,3 +139,26 @@ def test_identical_runs_produce_identical_traces():
         return log
 
     assert run() == run()
+
+
+def test_delivery_hands_back_the_senders_type_code():
+    net, conn = network(bandwidth_bps=1_000_000)
+    net.send(conn, "a", b"x\n", 300)
+    net.send(conn, "b", b"y\n", 101)
+    net.send(conn, "a", b"z\n")
+    assert [(d.src, d.frame, d.code) for d in net.advance(10**6)] == [
+        ("a", b"x\n", 300),
+        ("b", b"y\n", 101),
+        ("a", b"z\n", 0),
+    ]
+
+
+def test_lost_frame_returns_none_whatever_its_code():
+    net, conn = network(loss=1.0)
+    assert net.send(conn, "a", b"x\n", 300) is None
+    assert net.advance(10**6) == []
+    assert net.dropped == 1
+
+
+def test_delivery_built_without_a_code_reads_zero():
+    assert Delivery(1000, 1, "hub", "leaf00", b"{}\n").code == 0
