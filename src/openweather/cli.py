@@ -11,7 +11,7 @@ Subcommands::
 
 All printed JSON uses the canonical wire rendering, so output is
 diff-stable across runs with fixed inputs.  Exit codes: 0 success,
-1 usage, 2 transport failure, 3 protocol status (6xx), 4 timeout.
+1 usage, 2 transport failure or bad reply, 3 protocol status (6xx), 4 timeout.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ import signal
 import sys
 import threading
 
-from .codec import DEFAULT_PORT, EncodeError, UtmLocation, encode, payload_fragment
+from .codec import DEFAULT_PORT, CodecError, EncodeError, UtmLocation, encode, payload_fragment
 from .engine import NodeConfig, default_services
 from .identity import is_node_id, random_node_id
 from .node import NodeRuntime
 from .peers import BootstrapError, load_bootstrap
 from .scenario import DEFAULT_LOCATION, ScenarioError, SimRunner, parse_scenario
 from .sensors import GeneratorConfig, SampleGenerator, SampleStore, VendorLineSource
-from .tcpnet import NodeServer, PeerClient, ProtocolFault, time_ms
+from .tcpnet import FramingError, NodeServer, PeerClient, ProtocolFault, time_ms
 from .vendor import MappingError, load_field_map
 
 EXIT_OK = 0
@@ -318,6 +318,10 @@ def main(argv=None) -> int:
     except TimeoutError:
         print("owp: timed out waiting for the peer", file=sys.stderr)
         return EXIT_TIMEOUT
+    except (CodecError, FramingError) as exc:
+        # the peer's reply does not frame, decode or validate
+        print("owp: bad reply from the peer: %s" % exc, file=sys.stderr)
+        return EXIT_TRANSPORT
     except (ConnectionError, OSError) as exc:
         print("owp: transport failure: %s" % exc, file=sys.stderr)
         return EXIT_TRANSPORT

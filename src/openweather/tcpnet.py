@@ -3,27 +3,31 @@
 One message per line: the canonical encoding followed by ``\\n``.  Lines
 longer than 64 KiB are a framing error and the connection is dropped.
 
-NodeServer runs a NodeRuntime on real sockets.  Reader threads only feed
-an event queue; a single coordinator thread owns the runtime, so engine
-state never needs locking.  PeerClient is the blocking counterpart for
-one-shot operations.
+NodeServer drives a NodeRuntime from one thread: one selectors loop over
+non-blocking sockets that sleeps until a socket is ready or the runtime's
+next timer is due.  A peer whose unsent backlog passes MAX_BACKLOG is
+dropped.  PeerClient runs one-shot operations over a NodeRuntime of its
+own, so its inbound frames take the server's on_frame path.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
+import selectors
 import socket
 import threading
 import time
+import types
 
-from .codec import Envelope, decode, encode
-from .engine import Engine, NodeConfig, ProtocolCode, Session
-from .node import Hangup, NodeRuntime, Outbound
+from .codec import Envelope, SchemaError, decode, validate
+from .engine import NodeConfig, ProtocolCode
+from .node import NodeRuntime, Outbound
 
 log = logging.getLogger(__name__)
 
 MAX_FRAME = 64 * 1024
+# unsent bytes a peer may leave queued before the node hangs up on it
+MAX_BACKLOG = 1024 * 1024
 
 
 class FramingError(RuntimeError):
@@ -42,56 +46,51 @@ def time_ms() -> int:
     return int(time.time() * 1000)
 
 
-def _close_now(conn: socket.socket) -> None:
-    """Close so that a thread blocked in recv() on this socket wakes up."""
-    try:
-        conn.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
 class FrameSplitter:
     """Incremental newline splitter with an upper frame size bound."""
 
     def __init__(self, limit: int = MAX_FRAME):
         self.limit = limit
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def feed(self, data: bytes) -> list:
-        self._buffer += data
-        frames = []
-        while True:
-            cut = self._buffer.find(b"\n")
-            if cut < 0:
-                break
-            frame, self._buffer = self._buffer[:cut], self._buffer[cut + 1 :]
-            if len(frame) > self.limit:
-                raise FramingError("frame of %d bytes exceeds the %d byte cap" % (len(frame), self.limit))
-            frames.append(frame)
-        if len(self._buffer) > self.limit:
+        buffer = self._buffer
+        searched = len(buffer)  # the held partial line has no newline
+        buffer += data
+        end = buffer.rfind(b"\n", searched) + 1  # 0: no complete frame yet
+        frames = bytes(buffer[: end - 1]).split(b"\n") if end else []
+        del buffer[:end]
+        longest = max(map(len, frames), default=0)
+        if longest > self.limit:
+            raise FramingError("frame of %d bytes exceeds the %d byte cap" % (longest, self.limit))
+        if len(buffer) > self.limit:
             raise FramingError("unterminated line exceeds the %d byte cap" % self.limit)
         return frames
+
+
+class _Connection:
+    def __init__(self, key: int, sock: socket.socket):
+        self.key = key
+        self.sock = sock
+        self.splitter = FrameSplitter()
+        self.backlog = bytearray()
 
 
 class NodeServer:
     """Accepts connections and drives a NodeRuntime over them."""
 
-    def __init__(self, runtime: NodeRuntime, host: str = "127.0.0.1", port: int | None = None, poll_s: float = 0.05):
+    def __init__(self, runtime: NodeRuntime, host: str = "127.0.0.1", port: int | None = None):
         self.runtime = runtime
-        self.host = host
-        self._want_port = runtime.config.port if port is None else port
-        self.poll_s = poll_s
+        self._address = (host, runtime.config.port if port is None else port)
         self._listener: socket.socket | None = None
-        self._events: queue.Queue = queue.Queue()
+        self._selector = selectors.DefaultSelector()
+        # the loop's only blocking call, looked up on every pass so that it
+        # can be wrapped (to time idle waits) before start()
+        self._events = types.SimpleNamespace(get=self._selector.select)
+        self._wake = socket.socketpair()  # stop() writes, the loop returns
         self._conns: dict = {}
-        self._conn_lock = threading.Lock()
-        self._threads: list = []
-        self._stopping = threading.Event()
         self._next_key = 0
+        self._thread: threading.Thread | None = None
 
     @property
     def port(self) -> int:
@@ -102,102 +101,108 @@ class NodeServer:
     def start(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._want_port))
-        listener.listen(16)
-        # accept() must wake periodically or stop() cannot join the thread
-        listener.settimeout(self.poll_s)
+        listener.bind(self._address)
+        listener.listen(128)
+        listener.setblocking(False)
         self._listener = listener
-        for target in (self._accept_loop, self._coordinate):
-            thread = threading.Thread(target=target, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._selector.register(listener, selectors.EVENT_READ)
+        self._selector.register(self._wake[0], selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
 
     def stop(self) -> None:
-        self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            _close_now(conn)
-        for thread in self._threads:
-            thread.join(timeout=2)
+        if self._thread is not None and self._thread.is_alive():
+            self._wake[1].send(b"\0")
+            self._thread.join(timeout=2)
+        for sock in filter(None, [self._listener, *self._wake, *(conn.sock for conn in self._conns.values())]):
+            sock.close()
+        self._selector.close()
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            self._next_key += 1
-            key = self._next_key
-            with self._conn_lock:
-                self._conns[key] = conn
-            self._events.put(("open", key, addr))
-            reader = threading.Thread(target=self._read_loop, args=(key, conn), daemon=True)
-            reader.start()
-            self._threads.append(reader)
-
-    def _read_loop(self, key, conn: socket.socket) -> None:
-        splitter = FrameSplitter()
-        while not self._stopping.is_set():
-            try:
-                data = conn.recv(4096)
-            except OSError:
-                break
-            if not data:
-                break
-            try:
-                frames = splitter.feed(data)
-            except FramingError as exc:
-                log.warning("connection %d: %s", key, exc)
-                break
-            for frame in frames:
-                self._events.put(("frame", key, frame))
-        self._events.put(("close", key, None))
-
-    def _coordinate(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                kind, key, payload = self._events.get(timeout=self.poll_s)
-            except queue.Empty:
-                kind = None
+    def _serve(self) -> None:
+        runtime = self.runtime
+        while True:
+            timeout = max(0, runtime.next_due_ms() - time_ms()) / 1000.0
+            for key, mask in self._events.get(timeout):
+                conn = key.data
+                if key.fileobj is self._listener:
+                    self._accept()
+                elif conn is None:  # the wake-up socket
+                    return
+                # a peer dropped earlier in this batch may still be listed
+                elif conn.key in self._conns:
+                    if mask & selectors.EVENT_WRITE:
+                        self._send(conn, b"")
+                    if mask & selectors.EVENT_READ and conn.key in self._conns:
+                        self._read(conn)
             now = time_ms()
-            outputs = []
-            if kind == "open":
-                self.runtime.open_session(key, remote_ip=payload[0], remote_port=payload[1])
-            elif kind == "frame":
-                outputs.extend(self.runtime.on_frame(key, payload, now))
-            elif kind == "close":
-                self.runtime.on_disconnect(key, now)
-                self._drop(key)
-            outputs.extend(self.runtime.on_tick(now))
-            self._execute(outputs)
+            if runtime.next_due_ms() <= now:
+                self._execute(runtime.on_tick(now))
+
+    def _accept(self) -> None:
+        try:
+            sock, addr = self._listener.accept()
+        except OSError as exc:  # the peer left before we got to it, or no descriptors left
+            log.info("accept failed: %s", exc)
+            return
+        sock.setblocking(False)
+        self._next_key += 1
+        conn = _Connection(self._next_key, sock)
+        self._conns[conn.key] = conn
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self.runtime.open_session(conn.key, remote_ip=addr[0], remote_port=addr[1])
+
+    def _read(self, conn: _Connection) -> None:
+        try:
+            data = conn.sock.recv(65536)
+            frames = conn.splitter.feed(data) if data else None  # None: the peer left
+        except BlockingIOError:
+            return
+        except OSError:
+            frames = None
+        except FramingError as exc:
+            log.warning("connection %d: %s", conn.key, exc)
+            frames = None
+        if frames is None:
+            self._drop(conn)
+            return
+        for frame in frames:
+            self._execute(self.runtime.on_frame(conn.key, frame, time_ms()))
+            if conn.key not in self._conns:
+                return
 
     def _execute(self, outputs: list) -> None:
         for output in outputs:
+            conn = self._conns.get(output.key)
+            if conn is None:
+                continue
             if isinstance(output, Outbound):
-                with self._conn_lock:
-                    conn = self._conns.get(output.key)
-                if conn is None:
-                    continue
-                try:
-                    conn.sendall(output.frame)
-                except OSError:
-                    self._drop(output.key)
-            elif isinstance(output, Hangup):
-                self._drop(output.key)
+                self._send(conn, output.frame)
+            else:  # Hangup
+                self._drop(conn)
 
-    def _drop(self, key) -> None:
-        with self._conn_lock:
-            conn = self._conns.pop(key, None)
-        if conn is not None:
-            _close_now(conn)
+    def _send(self, conn: _Connection, frame: bytes) -> None:
+        pending = bool(conn.backlog)
+        conn.backlog += frame
+        try:
+            del conn.backlog[: conn.sock.send(conn.backlog)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._drop(conn)
+            return
+        if len(conn.backlog) > MAX_BACKLOG:
+            log.warning("connection %d: %d unsent bytes pass the cap; dropping it", conn.key, len(conn.backlog))
+            self._drop(conn)
+        elif bool(conn.backlog) != pending:
+            # watch for room to write only while something waits for it
+            events = selectors.EVENT_READ | selectors.EVENT_WRITE if conn.backlog else selectors.EVENT_READ
+            self._selector.modify(conn.sock, events, conn)
+
+    def _drop(self, conn: _Connection) -> None:
+        del self._conns[conn.key]
+        self.runtime.on_disconnect(conn.key, time_ms())
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
 
 
 class PeerClient:
@@ -205,71 +210,64 @@ class PeerClient:
 
     def __init__(self, host: str, port: int, config: NodeConfig, timeout_s: float = 10.0):
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
-        self.sock.settimeout(timeout_s)
-        local_ip = self.sock.getsockname()[0]
-        self.engine = Engine(config, local_ip=local_ip)
-        self.session = Session(remote_ip=host, remote_port=port)
+        self.runtime = NodeRuntime(config, local_ip=self.sock.getsockname()[0])
+        self.engine = self.runtime.engine
+        self._remote = (host, port)  # also the session's key in the runtime
         self._splitter = FrameSplitter()
         self._inbox: list = []
 
     def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-    def _now(self) -> int:
-        return time_ms()
-
-    def _send_actions(self, actions: list) -> None:
-        for action in actions:
-            envelope = getattr(action, "envelope", None)
-            if envelope is not None:
-                self.sock.sendall(encode(envelope) + b"\n")
+        self.sock.close()
 
     def recv(self) -> Envelope:
-        """Next inbound message; feeds the engine so statuses go out."""
+        """Next inbound message, once the runtime has answered it; raises
+        a CodecError for one that does not decode or validate."""
         while not self._inbox:
-            data = self.sock.recv(4096)
+            data = self.sock.recv(65536)
             if not data:
                 raise ConnectionError("connection closed by remote node")
             self._inbox.extend(self._splitter.feed(data))
-        envelope = decode(self._inbox.pop(0))
-        self._send_actions(self.engine.handle_message(self.session, envelope, self._now()))
+        frame = self._inbox.pop(0)
+        envelope = decode(frame)
+        report = validate(envelope)
+        if not report.ok:
+            raise SchemaError("invalid reply: %s" % "; ".join(report.problems))
+        self._write(self.runtime.on_frame(self._remote, frame, time_ms()))
         return envelope
 
-    def _await_type(self, *codes: int) -> Envelope:
+    def _write(self, outputs: list) -> None:
+        for output in outputs:
+            if isinstance(output, Outbound):
+                self.sock.sendall(output.frame)
+
+    def _ask(self, outputs: list, code: int) -> Envelope:
+        """Write the runtime's outputs, then wait for a reply of type code."""
+        self._write(outputs)
         while True:
             envelope = self.recv()
-            code = int(envelope.type_code)
-            if code in codes:
+            got = int(envelope.type_code)
+            if got == code:
                 return envelope
-            if 600 <= code <= 699:
-                raise ProtocolFault(code)
+            if 600 <= got <= 699:
+                raise ProtocolFault(got)
 
     def handshake(self) -> Envelope:
-        self._send_actions(self.engine.initiate_handshake(self.session, self._now()))
-        return self._await_type(ProtocolCode.HANDSHAKE_S)
+        return self._ask(self.runtime.connect(self._remote, time_ms(), *self._remote), ProtocolCode.HANDSHAKE_S)
 
     def services(self) -> Envelope:
-        self._send_actions(self.engine.request_services(self.session, self._now()))
-        return self._await_type(ProtocolCode.SERVICES_AVAILABLE_R)
+        outputs = self.runtime.request_services(self._remote, time_ms())
+        return self._ask(outputs, ProtocolCode.SERVICES_AVAILABLE_R)
 
     def peers(self) -> Envelope:
-        self._send_actions(self.engine.request_peers(self.session, self._now()))
-        return self._await_type(ProtocolCode.LIST_PEERS_R)
+        return self._ask(self.runtime.request_peers(self._remote, time_ms()), ProtocolCode.LIST_PEERS_R)
 
     def stream(self, count: int) -> list:
-        self._send_actions(self.engine.request_realtime(self.session, self._now()))
-        received = []
-        while len(received) < count:
-            received.append(self._await_type(ProtocolCode.REAL_TIME_DATA_R))
-        return received
+        self._write(self.runtime.request_realtime(self._remote, time_ms()))
+        return [self._ask([], ProtocolCode.REAL_TIME_DATA_R) for _ in range(count)]
 
     def stop(self) -> Envelope:
-        self._send_actions(self.engine.stop_realtime(self.session, self._now()))
-        return self._await_type(ProtocolCode.REAL_TIME_DATA_S)
+        return self._ask(self.runtime.stop_realtime(self._remote, time_ms()), ProtocolCode.REAL_TIME_DATA_S)
 
     def fetch(self, services, timestamp: str) -> Envelope:
-        self._send_actions(self.engine.request_on_demand(self.session, services, timestamp, self._now()))
-        return self._await_type(ProtocolCode.ON_DEMAND_DATA_R)
+        outputs = self.runtime.request_on_demand(self._remote, services, timestamp, time_ms())
+        return self._ask(outputs, ProtocolCode.ON_DEMAND_DATA_R)

@@ -7,12 +7,12 @@ import time
 import pytest
 
 from openweather.cli import main
-from openweather.codec import UtmLocation, format_timestamp
-from openweather.engine import NodeConfig
+from openweather.codec import UtmLocation, encode, format_timestamp
+from openweather.engine import Engine, NodeConfig
 from openweather.identity import random_node_id
 from openweather.node import NodeRuntime
 from openweather.sensors import GeneratorConfig, SampleGenerator, SampleStore
-from openweather.tcpnet import NodeServer, time_ms
+from openweather.tcpnet import MAX_FRAME, NodeServer, time_ms
 
 SCENARIO = """
 node n1 ip=172.21.25.16
@@ -22,13 +22,17 @@ at 0 n1 handshake n2
 """
 
 
-def start_server(interval_ms: int = 100) -> NodeServer:
-    config = NodeConfig(
+def server_config() -> NodeConfig:
+    return NodeConfig(
         node_id=random_node_id(b"\x61" * 32),
         location=UtmLocation.parse("6672224 385565 35V"),
         bandwidth=6,
         port=62535,
     )
+
+
+def start_server(interval_ms: int = 100) -> NodeServer:
+    config = server_config()
     runtime = NodeRuntime(
         config,
         generator=SampleGenerator(GeneratorConfig(interval_ms=interval_ms, seed=11)),
@@ -36,7 +40,7 @@ def start_server(interval_ms: int = 100) -> NodeServer:
         local_ip="127.0.0.1",
         start_ms=time_ms(),
     )
-    server = NodeServer(runtime, port=0, poll_s=0.02)
+    server = NodeServer(runtime, port=0)
     server.start()
     return server
 
@@ -237,3 +241,43 @@ def test_silent_peer_exits_4(capsys):
         for conn in held:
             conn.close()
         keeper.join(timeout=2)
+
+
+def _greeting_with_bad_peer_ip() -> bytes:
+    greeting = encode(Engine(server_config(), local_ip="127.0.0.1").status_message(101, time_ms()))
+    return greeting.replace(b'"127.0.0.1"', b'"127.0.0.999"') + b"\n"
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"not json\n", _greeting_with_bad_peer_ip(), b"x" * (MAX_FRAME + 1) + b"\n"],
+    ids=["undecodable", "invalid", "oversized"],
+)
+def test_bad_reply_exits_2(capsys, reply):
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(5.0)
+
+    def answer():
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)  # the handshake
+                conn.sendall(reply)
+                conn.recv(65536)  # until the client hangs up
+        except OSError:
+            pass
+
+    peer = threading.Thread(target=answer, daemon=True)
+    peer.start()
+    try:
+        port = listener.getsockname()[1]
+        code = main(["handshake", "127.0.0.1", "--port", str(port), "--keep-alive", "2000"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("owp: bad reply from the peer: ")
+        assert err.count("\n") == 1
+    finally:
+        listener.close()
+        peer.join(timeout=2)

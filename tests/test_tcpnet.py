@@ -1,11 +1,15 @@
-"""Socket transport: newline framing, the threaded server, the blocking client."""
+"""Socket transport: newline framing, the event-loop server, the blocking client."""
 
 import socket
+import threading
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from openweather.codec import ProtocolCode, UtmLocation, decode
-from openweather.engine import NodeConfig
+from openweather import tcpnet
+from openweather.codec import ProtocolCode, UtmLocation, decode, encode
+from openweather.engine import Engine, NodeConfig
 from openweather.identity import random_node_id
 from openweather.node import NodeRuntime
 from openweather.peers import PeerRecord
@@ -35,16 +39,19 @@ def make_config(seed: int, port: int = 62535, services: dict | None = None) -> N
     return config
 
 
-def make_server(seed: int = 1, interval_ms: int = 200, services: dict | None = None) -> NodeServer:
+def make_server(
+    seed: int = 1, interval_ms: int = 200, services: dict | None = None, sweep_interval_ms: int = 1000
+) -> NodeServer:
     runtime = NodeRuntime(
         make_config(seed, services=services),
         generator=SampleGenerator(GeneratorConfig(interval_ms=interval_ms, seed=seed)),
         store=SampleStore(),
         local_ip="127.0.0.1",
         start_ms=time_ms(),
+        sweep_interval_ms=sweep_interval_ms,
     )
-    # port 0 lets the OS pick a free one; poll fast to keep tests snappy
-    return NodeServer(runtime, port=0, poll_s=0.02)
+    # port 0 lets the OS pick a free one
+    return NodeServer(runtime, port=0)
 
 
 def make_client(port: int, seed: int = 9) -> PeerClient:
@@ -94,6 +101,30 @@ def test_splitter_default_limit_is_64k():
     assert MAX_FRAME == 64 * 1024
     splitter = FrameSplitter()
     assert splitter.feed(b"y" * MAX_FRAME + b"\n") == [b"y" * MAX_FRAME]
+
+
+PIECES = st.sampled_from([b"\n", b"a", b"bc", b"\xff", b"0123456789"])
+
+
+@given(st.lists(PIECES, max_size=60).map(b"".join), st.lists(st.integers(0, 600), max_size=12))
+def test_any_chunking_yields_the_frames_of_the_whole_stream(stream, cuts):
+    limit = 16
+    try:
+        whole, whole_failed = FrameSplitter(limit).feed(stream), False
+    except FramingError:
+        whole, whole_failed = None, True
+    points = sorted({min(cut, len(stream)) for cut in cuts})
+    splitter, got, failed = FrameSplitter(limit), [], False
+    try:
+        for start, end in zip([0] + points, points + [len(stream)]):
+            got.extend(splitter.feed(stream[start:end]))
+    except FramingError:
+        failed = True
+    assert failed == whole_failed
+    if whole_failed:
+        assert got == stream.split(b"\n")[: len(got)]
+    else:
+        assert got == whole
 
 
 # -- server lifecycle ----------------------------------------------------------
@@ -256,4 +287,85 @@ def test_oversized_line_drops_the_connection():
         assert data == b""  # server hung up without answering
     finally:
         raw.close()
+        server.stop()
+
+
+# -- one event loop ------------------------------------------------------------
+
+
+def test_open_connections_add_no_threads():
+    server = make_server(seed=12)
+    server.start()
+    running = threading.active_count()
+    conns = [socket.create_connection(("127.0.0.1", server.port), timeout=5.0) for _ in range(20)]
+    try:
+        deadline = time.monotonic() + 5.0
+        while len(server.runtime.sessions) < 20 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server.runtime.sessions) == 20
+        assert threading.active_count() == running
+    finally:
+        for conn in conns:
+            conn.close()
+        server.stop()
+
+
+def test_stop_returns_at_once_while_the_next_timer_is_far_away():
+    server = make_server(seed=13, interval_ms=60_000, sweep_interval_ms=60_000)
+    server.start()
+    port = server.port
+    client = make_client(port)
+    try:
+        client.handshake()
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.5
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+    finally:
+        client.close()
+        server.stop()
+
+
+def test_a_reader_that_stalls_neither_delays_others_nor_stays_connected(monkeypatch):
+    monkeypatch.setattr(tcpnet, "MAX_BACKLOG", 64 * 1024)
+    server = make_server(seed=14, interval_ms=20)
+    for n in range(100):
+        server.runtime.engine.peer_table.upsert(
+            PeerRecord(node_id=random_node_id(bytes([n]) * 32), peer_ip="10.0.1.%d" % n, port=62535, bandwidth=3)
+        )
+    server.start()
+    # accepted sockets inherit this: small kernel buffers on both ends, so
+    # what the stalled peer leaves unread piles up in the node, not the kernel
+    server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+    stalled.settimeout(5.0)
+    stalled.connect(("127.0.0.1", server.port))
+    # subscribe, then ask for 20 peer listings of 100 peers, and read nothing
+    config = make_config(15)
+    config.peers_requested = 100
+    engine = Engine(config, local_ip="127.0.0.1")
+    requests = [ProtocolCode.HANDSHAKE, ProtocolCode.REAL_TIME_DATA] + [ProtocolCode.LIST_PEERS] * 20
+    stalled.sendall(b"".join(encode(engine.status_message(code, time_ms())) + b"\n" for code in requests))
+    time.sleep(0.2)
+    client = make_client(server.port)
+    try:
+        client.sock.settimeout(1.0)
+        started = time.monotonic()
+        client.handshake()
+        assert time.monotonic() - started < 1.0
+        deadline = time.monotonic() + 5.0
+        while server.runtime.subscribers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server.runtime.subscribers
+        # what the kernel already held arrives, then the end of the stream
+        try:
+            while stalled.recv(65536):
+                pass
+        except ConnectionResetError:
+            pass
+    finally:
+        stalled.close()
+        client.close()
         server.stop()
