@@ -13,6 +13,14 @@ newline anywhere.  Measurement values travel as JSON strings so decimal
 text survives untouched; the header numerics (Bandwidth, Keep-Alive,
 Peers-Requested, Port, Update-Interval) and Type are JSON numbers.
 
+Most of a message never changes: its keys, their order and the punctuation
+between them.  At import the encoder compiles that part once into format
+strings, from MEASUREMENTS, the fixed MetaInfo and peer-entry keys and the
+envelope's member order, so encoding a message only fills the slots: a
+string through the stdlib's JSON string escaper, an integer as its digits.
+Every envelope is validated before it is encoded.  Decoding parses with
+one shared JSON decoder and walks the tree once, driven by the same tables.
+
 The decoder is liberal: arbitrary whitespace and key order, numeric fields
 quoted as strings, timestamps with or without the trailing "Z", and the
 historical spellings of the on-demand query (key "Retrive", or the query
@@ -21,19 +29,22 @@ nested inside "Data").
 The "Data" schema lives in one table, MEASUREMENTS: one row per field,
 naming its group, its attribute on the group's block, its path on the
 wire, its NormalizedSample attribute and its missing-value default.
-Encoding, decoding and the vendor sample mapping all read that table, so
-a new measurement is one row here plus the attribute it names on the
-block and sample dataclasses.
+The compiled encoder, the decoder and the vendor sample mapping all read
+that table, so a new measurement is still one row here plus the
+attribute it names on the block and sample dataclasses.
 """
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
+import operator
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
+from json.encoder import encode_basestring as _quote  # the C escaper of json.dumps(ensure_ascii=False)
 
 PROTOCOL_VERSION = "OpenWeather/1.0"
 DEFAULT_PORT = 62535
@@ -276,8 +287,8 @@ def _by_holder(rows) -> tuple:
     return tuple((keys, tuple(leaves)) for keys, leaves in held.items())
 
 
-# the codec's walk over "Data", worked out once so that encoding and decoding a
-# message do no path slicing: (group, wire key, block type, fields by holding object)
+# the decoder's walk over "Data", worked out once so that decoding a message
+# does no path slicing: (group, wire key, block type, fields by holding object)
 _DATA_LAYOUT = tuple(
     (name, rows[0].wire_group, block, _by_holder(rows)) for name, (block, rows) in MEASUREMENT_GROUPS.items()
 )
@@ -290,6 +301,23 @@ class PeerEntry:
     peer_ip: str
     port: int
     bandwidth: int
+
+
+# (wire key, attribute, wire type) of the fixed-key objects, in the order
+# decode checks them; MetaInfo's "Location" (a UtmLocation) is checked first,
+# on its own
+_META_KEYS = (
+    ("ID", "node_id", str),
+    ("Peer-IP", "peer_ip", str),
+    ("Bandwidth", "bandwidth", int),
+    ("Timestamp", "timestamp", str),
+    ("Port", "port", int),
+    ("Update-Interval", "update_interval_ms", int),
+    ("Peers-Requested", "peers_requested", int),
+    ("Keep-Alive", "keep_alive_ms", int),
+    ("Version", "version", str),
+)
+_PEER_KEYS = (("Peer-IP", "peer_ip", str), ("Port", "port", int), ("Bandwidth", "bandwidth", int))
 
 
 @dataclass(frozen=True)
@@ -344,6 +372,47 @@ _PAYLOAD_RULE = {
 }
 
 
+def _address_check(value) -> bool:
+    try:
+        ipaddress.ip_address(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _timestamp_check(value) -> bool:
+    try:
+        parse_timestamp(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+# A node sees the same few addresses and seconds over and over, so the checks
+# of exact str values are memoised.  Another value may be unhashable, and a str
+# subclass hashes like its text yet ipaddress reads it through its __str__.
+# Only text up to _MEMO_LEN characters is kept: any address or timestamp fits,
+# while a longer string from a peer (a frame may hold up to 64 KiB) stays
+# unreferenced once its frame is handled.
+_MEMO_LEN = 64
+_address_text_check = functools.lru_cache(maxsize=1024)(_address_check)
+_timestamp_text_check = functools.lru_cache(maxsize=1024)(_timestamp_check)
+
+
+def _is_address(value) -> bool:
+    """True when ipaddress accepts value as an IPv4 or IPv6 address."""
+    if type(value) is str and len(value) <= _MEMO_LEN:
+        return _address_text_check(value)
+    return _address_check(value)
+
+
+def _is_timestamp(value) -> bool:
+    """True when value is a timestamp that parse_timestamp accepts."""
+    if type(value) is str and len(value) <= _MEMO_LEN:
+        return _timestamp_text_check(value)
+    return _timestamp_check(value)
+
+
 def validate(envelope: Envelope) -> ValidationReport:
     """Check every invariant; returns a report rather than raising."""
     problems = []
@@ -390,9 +459,7 @@ def _meta_problems(meta: MetaInfo) -> list:
     problems = []
     if not isinstance(meta.node_id, str) or not _NODE_ID_RE.match(meta.node_id):
         problems.append("node id is not 64 lowercase hex characters")
-    try:
-        ipaddress.ip_address(meta.peer_ip)
-    except ValueError:
+    if not _is_address(meta.peer_ip):
         problems.append("peer ip %r is not a valid address" % (meta.peer_ip,))
     if not isinstance(meta.port, int) or not 1 <= meta.port <= 65535:
         problems.append("port %r out of range 1..65535" % (meta.port,))
@@ -415,9 +482,7 @@ def _meta_problems(meta: MetaInfo) -> list:
         problems.append("keep alive not positive")
     if not isinstance(meta.bandwidth, int) or isinstance(meta.bandwidth, bool) or meta.bandwidth < 0:
         problems.append("bandwidth below 0")
-    try:
-        parse_timestamp(meta.timestamp)
-    except (TypeError, ValueError):
+    if not _is_timestamp(meta.timestamp):
         problems.append("timestamp malformed")
     if not isinstance(meta.version, str) or not _VERSION_RE.match(meta.version):
         problems.append("version malformed")
@@ -464,9 +529,7 @@ def _info_problems(info: InfoPayload) -> list:
                 problems.append("peer port %r out of range" % (entry.port,))
             if not isinstance(entry.bandwidth, int) or entry.bandwidth < 0:
                 problems.append("peer bandwidth below 0")
-            try:
-                ipaddress.ip_address(entry.peer_ip)
-            except ValueError:
+            if not _is_address(entry.peer_ip):
                 problems.append("peer ip %r is not a valid address" % (entry.peer_ip,))
     return problems
 
@@ -480,85 +543,144 @@ def _retrieve_problems(retrieve: RetrieveRequest) -> list:
     for name in retrieve.services:
         if name not in SERVICES:
             problems.append("unknown service %r" % (name,))
-    try:
-        parse_timestamp(retrieve.timestamp)
-    except (TypeError, ValueError):
+    if not _is_timestamp(retrieve.timestamp):
         problems.append("retrieve timestamp malformed")
     return problems
 
 
-def _render(value) -> str:
+def _template(tree: dict) -> tuple:
+    """Compile an object with fixed keys: (format string, slot names in wire order).
+
+    Each leaf of tree names a slot, which the format leaves as ``%s``;
+    keys are sorted at every depth, as on the wire.
+    """
+    slots = []
+
+    def render(node: dict) -> str:
+        members = []
+        for key in sorted(node):
+            value = node[key]
+            if isinstance(value, dict):
+                text = render(value)
+            else:
+                slots.append(value)
+                text = "%s"
+            members.append("%s : %s" % (_quote(key).replace("%", "%%"), text))
+        return "{ %s }" % ", ".join(members)
+
+    return render(tree), tuple(slots)
+
+
+def _getter(names: tuple):
+    # the named attributes of an object as a tuple, even for a single name
+    get = operator.attrgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
+
+
+def _path_tree(rows) -> dict:
+    # wire paths -> nested keys, each leaf naming its block field
+    tree = {}
+    for row in rows:
+        holder = tree
+        for key in row.path[:-1]:
+            holder = holder.setdefault(key, {})
+        holder[row.path[-1]] = row.field
+    return tree
+
+
+def _group_format(wire_key: str, rows) -> tuple:
+    form, fields = _template(_path_tree(rows))
+    return _quote(wire_key) + " : " + form, _getter(fields)
+
+
+# the parts of a message that never change, compiled once from the tables above:
+# "Data" groups in wire order as (WeatherData attribute, member format, getter
+# of the block's values in slot order)
+_DATA_FORMATS = tuple(
+    (name, *_group_format(wire_key, rows))
+    for wire_key, name, rows in sorted((rows[0].wire_group, name, rows) for name, (_, rows) in MEASUREMENT_GROUPS.items())
+)
+_META_FORMAT, _META_SLOTS = _template({"Location": "location", **{key: attr for key, attr, _ in _META_KEYS}})
+_PEER_FORMAT, _PEER_SLOTS = _template({key: attr for key, attr, _ in _PEER_KEYS})
+_peer_values = _getter(_PEER_SLOTS)
+_RETRIEVE_FORMAT, _ = _template({"D": "services", "Timestamp": "timestamp"})
+# the whole message around each payload member (None: header only)
+_ENVELOPE_FORMATS = {
+    key: _template({"OpenWeatherMessage": {"MetaInfo": "meta", "Type": "type", **({key: "payload"} if key else {})}})
+    for key in (None, "Data", "Info", "Retrieve")
+}
+
+
+def _text(value) -> str:
+    """Canonical text of one value: a JSON string, or the digits of an integer."""
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return str(value)
     if isinstance(value, bool):
         raise EncodeError("boolean values never appear on the wire")
-    if isinstance(value, dict):
-        members = ", ".join(
-            "%s : %s" % (json.dumps(key, ensure_ascii=False), _render(value[key]))
-            for key in sorted(value)
-        )
-        return "{ %s }" % members if members else "{ }"
-    if isinstance(value, (list, tuple)):
-        items = ", ".join(_render(item) for item in value)
-        return "[ %s ]" % items if items else "[ ]"
     if isinstance(value, int):
-        return str(value)
+        return int.__repr__(value)  # also for an IntEnum, whose str() is its name on Python 3.10
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return _quote(value)
     raise EncodeError("cannot encode value of type %s" % type(value).__name__)
 
 
-def _meta_to_wire(meta: MetaInfo) -> dict:
-    return {
-        "ID": meta.node_id,
-        "Peer-IP": meta.peer_ip,
-        "Port": meta.port,
-        "Location": meta.location.render(),
-        "Update-Interval": meta.update_interval_ms,
-        "Peers-Requested": meta.peers_requested,
-        "Keep-Alive": meta.keep_alive_ms,
-        "Bandwidth": meta.bandwidth,
-        "Timestamp": meta.timestamp,
-        "Version": meta.version,
-    }
+def _key(key) -> str:
+    # a key of a valid message is always text; json.dumps renders any other as the old renderer did
+    return _quote(key) if type(key) is str else json.dumps(key, ensure_ascii=False)
 
 
-def _data_to_wire(data: WeatherData) -> dict:
-    wire = {}
-    for name, wire_key, _, holders in _DATA_LAYOUT:
+def _object(members: dict, render) -> str:
+    # an object whose keys vary: members in key order, each value through render
+    if not members:
+        return "{ }"
+    return "{ %s }" % ", ".join(["%s : %s" % (_key(key), render(members[key])) for key in sorted(members)])
+
+
+# Each fill gathers its slot values in a list before making the tuple: tuple()
+# of an iterator of unknown length guesses ten items and shrinks the result,
+# which strands one tuple per call on the interpreter's free list for its size
+# (up to 2000 per size, about 0.3 MB on a streaming node).
+def _meta_text(meta: MetaInfo) -> str:
+    return _META_FORMAT % tuple(
+        [_text(meta.location.render() if slot == "location" else getattr(meta, slot)) for slot in _META_SLOTS]
+    )
+
+
+def _peer_text(entry: PeerEntry) -> str:
+    return _PEER_FORMAT % tuple([_text(value) for value in _peer_values(entry)])
+
+
+def _data_text(data: WeatherData) -> str:
+    members = []
+    for name, form, values in _DATA_FORMATS:
         block = getattr(data, name)
-        if block is None:
-            continue
-        group = wire[wire_key] = {}
-        for keys, leaves in holders:
-            target = group
-            for key in keys:
-                target = target.setdefault(key, {})
-            for leaf, field, _ in leaves:
-                target[leaf] = getattr(block, field)
-    return wire
+        if block is not None:
+            members.append(form % tuple([_text(value) for value in values(block)]))
+    return "{ %s }" % ", ".join(members) if members else "{ }"
 
 
-def _info_to_wire(info: InfoPayload) -> dict:
+def _info_text(info: InfoPayload) -> str:
     if info.services is not None:
-        return {"Services": dict(info.services)}
-    entries = {}
-    for node_id, entry in info.peers.items():
-        entries[node_id] = {
-            "Peer-IP": entry.peer_ip,
-            "Port": entry.port,
-            "Bandwidth": entry.bandwidth,
-        }
-    return {"Peers": entries}
+        return '{ "Services" : %s }' % _object(info.services, _text)
+    return '{ "Peers" : %s }' % _object(info.peers, _peer_text)
 
 
-def _payload_to_wire(envelope: Envelope) -> tuple | None:
-    """The payload member as (wire key, value), or None for header-only."""
+def _retrieve_text(retrieve: RetrieveRequest) -> str:
+    services = ", ".join(map(_text, retrieve.services))
+    return _RETRIEVE_FORMAT % ("[ %s ]" % services if services else "[ ]", _text(retrieve.timestamp))
+
+
+def _payload_text(envelope: Envelope) -> tuple:
+    """The payload member as (wire key, canonical text), or (None, None) for header-only."""
     if envelope.data is not None:
-        return "Data", _data_to_wire(envelope.data)
+        return "Data", _data_text(envelope.data)
     if envelope.info is not None:
-        return "Info", _info_to_wire(envelope.info)
+        return "Info", _info_text(envelope.info)
     if envelope.retrieve is not None:
-        return "Retrieve", {"D": list(envelope.retrieve.services), "Timestamp": envelope.retrieve.timestamp}
-    return None
+        return "Retrieve", _retrieve_text(envelope.retrieve)
+    return None, None
 
 
 def encode(envelope: Envelope) -> bytes:
@@ -566,18 +688,18 @@ def encode(envelope: Envelope) -> bytes:
     report = validate(envelope)
     if not report.ok:
         raise EncodeError("refusing to encode: " + "; ".join(report.problems))
-    body = {"Type": envelope.type_code, "MetaInfo": _meta_to_wire(envelope.meta)}
-    payload = _payload_to_wire(envelope)
-    if payload is not None:
-        key, value = payload
-        body[key] = value
-    return _render({"OpenWeatherMessage": body}).encode("utf-8")
+    # the payload renders first: "Data" and "Info" sort before "MetaInfo", so a
+    # value that cannot be encoded is reported in wire order ("Retrieve" sorts
+    # after it, but holds nothing that fails once validated)
+    key, payload = _payload_text(envelope)
+    parts = {"payload": payload, "meta": _meta_text(envelope.meta), "type": _text(envelope.type_code)}
+    form, slots = _ENVELOPE_FORMATS[key]
+    return (form % tuple([parts[slot] for slot in slots])).encode("utf-8")
 
 
 def payload_fragment(envelope: Envelope) -> str | None:
     """Canonical text of just the payload member, or None for header-only."""
-    payload = _payload_to_wire(envelope)
-    return None if payload is None else _render(payload[1])
+    return _payload_text(envelope)[1]
 
 
 def _as_int(value, name: str) -> int:
@@ -607,6 +729,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _fields(member: dict, table: tuple, where: str) -> dict:
+    """attribute -> value for each (wire key, attribute, wire type) row, checked in table order."""
+    fields = {}
+    for key, attr, kind in table:
+        value = _require(member, key, where)
+        fields[attr] = _as_int(value, key) if kind is int else _as_str(value, key)
+    return fields
+
+
 def _meta_from_wire(member) -> MetaInfo:
     if not isinstance(member, dict):
         raise SchemaError('"MetaInfo" is not an object')
@@ -615,18 +746,7 @@ def _meta_from_wire(member) -> MetaInfo:
         location = UtmLocation.parse(location_text)
     except ValueError as exc:
         raise SchemaError('"Location" malformed: %s' % exc)
-    return MetaInfo(
-        node_id=_as_str(_require(member, "ID", "MetaInfo"), "ID"),
-        peer_ip=_as_str(_require(member, "Peer-IP", "MetaInfo"), "Peer-IP"),
-        location=location,
-        bandwidth=_as_int(_require(member, "Bandwidth", "MetaInfo"), "Bandwidth"),
-        timestamp=_as_str(_require(member, "Timestamp", "MetaInfo"), "Timestamp"),
-        port=_as_int(_require(member, "Port", "MetaInfo"), "Port"),
-        update_interval_ms=_as_int(_require(member, "Update-Interval", "MetaInfo"), "Update-Interval"),
-        peers_requested=_as_int(_require(member, "Peers-Requested", "MetaInfo"), "Peers-Requested"),
-        keep_alive_ms=_as_int(_require(member, "Keep-Alive", "MetaInfo"), "Keep-Alive"),
-        version=_as_str(_require(member, "Version", "MetaInfo"), "Version"),
-    )
+    return MetaInfo(location=location, **_fields(member, _META_KEYS, "MetaInfo"))
 
 
 def _group_values(group, wire_key: str, keys: tuple) -> dict:
@@ -675,11 +795,7 @@ def _info_from_wire(member) -> InfoPayload:
         for node_id, raw in listing.items():
             if not isinstance(raw, dict):
                 raise SchemaError("peer entry %r is not an object" % (node_id,))
-            peers[node_id] = PeerEntry(
-                peer_ip=_as_str(_require(raw, "Peer-IP", "peer entry"), "Peer-IP"),
-                port=_as_int(_require(raw, "Port", "peer entry"), "Port"),
-                bandwidth=_as_int(_require(raw, "Bandwidth", "peer entry"), "Bandwidth"),
-            )
+            peers[node_id] = PeerEntry(**_fields(raw, _PEER_KEYS, "peer entry"))
         return InfoPayload(peers=peers)
     raise SchemaError('"Info" carries neither "Services" nor "Peers"')
 
@@ -697,6 +813,11 @@ def _retrieve_from_wire(member) -> RetrieveRequest:
     return RetrieveRequest(services=services, timestamp=timestamp)
 
 
+# one parser for every frame: json.loads(text, parse_float=str) builds a new one per call;
+# bare decimals keep their text
+_JSON = json.JSONDecoder(parse_float=str)
+
+
 def decode(raw) -> Envelope:
     """Parse wire bytes (or text) into an Envelope.
 
@@ -708,10 +829,14 @@ def decode(raw) -> Envelope:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError("not valid UTF-8: %s" % exc, offset=exc.start)
-    else:
+    elif isinstance(raw, str):
         text = raw
+    else:  # what json.loads raises
+        raise TypeError("the JSON object must be str, bytes or bytearray, not %s" % type(raw).__name__)
     try:
-        tree = json.loads(text, parse_float=str)
+        if text.startswith("\ufeff"):  # json.loads refuses a byte order mark; the decoder alone would not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        tree = _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON at offset %d: %s" % (exc.pos, exc.msg), offset=exc.pos)
     except (RecursionError, ValueError) as exc:  # nesting too deep, integer literal too long

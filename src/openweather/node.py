@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import vendor
-from .codec import CodecError, ProtocolCode, decode, encode, validate
+from .codec import CodecError, Envelope, ProtocolCode, decode, encode, validate
 from .engine import (
     Callbacks,
     CloseSession,
@@ -116,18 +116,22 @@ class NodeRuntime:
 
     def on_frame(self, key, frame: bytes, now_ms: int) -> list:
         """Decode, validate and dispatch one frame; returns outputs."""
-        session = self.session(key)
         try:
             envelope = decode(frame)
         except CodecError as exc:
             log.info("undecodable frame on %r: %s", key, exc)
-            session.last_rx = now_ms
+            self.session(key).last_rx = now_ms
             return self._reply_unexpected(key, now_ms)
         report = validate(envelope)
         if not report.ok:
             log.info("invalid envelope on %r: %s", key, "; ".join(report.problems))
-            session.last_rx = now_ms
+            self.session(key).last_rx = now_ms
             return self._reply_unexpected(key, now_ms)
+        return self.on_envelope(key, envelope, now_ms)
+
+    def on_envelope(self, key, envelope: Envelope, now_ms: int) -> list:
+        """Dispatch one envelope that the caller has decoded and validated."""
+        session = self.session(key)
         try:
             actions = self.engine.handle_message(session, envelope, now_ms)
         except Exception:

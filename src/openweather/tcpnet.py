@@ -7,7 +7,9 @@ NodeServer drives a NodeRuntime from one thread: one selectors loop over
 non-blocking sockets that sleeps until a socket is ready or the runtime's
 next timer is due.  A peer whose unsent backlog passes MAX_BACKLOG is
 dropped.  PeerClient runs one-shot operations over a NodeRuntime of its
-own, so its inbound frames take the server's on_frame path.
+own: it decodes and validates each reply once, then passes it to
+NodeRuntime.on_envelope, the dispatch step that the server's on_frame
+ends in.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ class PeerClient:
         report = validate(envelope)
         if not report.ok:
             raise SchemaError("invalid reply: %s" % "; ".join(report.problems))
-        self._write(self.runtime.on_frame(self._remote, frame, time_ms()))
+        self._write(self.runtime.on_envelope(self._remote, envelope, time_ms()))
         return envelope
 
     def _write(self, outputs: list) -> None:

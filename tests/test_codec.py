@@ -1,14 +1,21 @@
-"""Wire codec: captured messages, canonical form, validation, round trips."""
+"""Wire codec: captured messages, canonical form, validation, round trips, and
+encoding checked against the reference renderer."""
 
 import dataclasses
 import json
 import random
+from enum import IntEnum
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import captures
+import codec_reference as reference
+from openweather import codec
 from openweather.codec import (
+    SERVICE_FLAGS,
+    SERVICES,
+    EncodeError,
     Envelope,
     InfoPayload,
     MetaInfo,
@@ -167,6 +174,25 @@ def test_encode_is_stable():
     assert encode(decode(encode(envelope))) == encode(envelope)
 
 
+class Port(IntEnum):
+    DEFAULT = 62535
+
+
+class Band(IntEnum):
+    SIX = 6
+
+
+def test_int_subclasses_encode_as_their_digits():
+    # on Python 3.10 str() of an IntEnum member is its qualified name
+    plain = encode(Envelope(100, meta(port=62535, bandwidth=6)))
+    assert encode(Envelope(ProtocolCode.HANDSHAKE, meta(port=Port.DEFAULT, bandwidth=Band.SIX))) == plain
+    listing = {"b" * 64: PeerEntry("10.0.0.1", 62535, 6)}
+    enum_listing = {"b" * 64: PeerEntry("10.0.0.1", Port.DEFAULT, Band.SIX)}
+    assert encode(Envelope(ProtocolCode.LIST_PEERS_R, meta(), info=InfoPayload(peers=enum_listing))) == encode(
+        Envelope(105, meta(), info=InfoPayload(peers=listing))
+    )
+
+
 def test_payload_fragment():
     envelope = Envelope(
         type_code=103, meta=meta(), info=InfoPayload(services={"PTU": "RO", "WIND": "R"})
@@ -281,9 +307,23 @@ def test_validate_retrieve_contents():
     assert any("duplicated" in p for p in validate(dupes).problems)
 
 
-def test_encode_refuses_invalid_envelopes():
-    from openweather.codec import EncodeError
+def test_validate_memoises_only_short_text():
+    # a peer's 60 KiB address or timestamp must not stay alive in the checks' caches
+    codec._address_text_check.cache_clear()
+    codec._timestamp_text_check.cache_clear()
+    long_ip, long_stamp = "1" * 60 * 1024, "2" * 60 * 1024
+    listing = InfoPayload(peers={"b" * 64: PeerEntry(long_ip, 62535, 6)})
+    report = validate(Envelope(105, meta(peer_ip=long_ip, timestamp=long_stamp), info=listing))
+    assert sum("is not a valid address" in p for p in report.problems) == 2
+    assert "timestamp malformed" in report.problems
+    assert codec._address_text_check.cache_info().currsize == 0
+    assert codec._timestamp_text_check.cache_info().currsize == 0
+    assert validate(Envelope(100, meta())).ok
+    assert codec._address_text_check.cache_info().currsize == 1
+    assert codec._timestamp_text_check.cache_info().currsize == 1
 
+
+def test_encode_refuses_invalid_envelopes():
     with pytest.raises(EncodeError):
         encode(Envelope(type_code=100, meta=meta(node_id="nope")))
 
@@ -315,6 +355,50 @@ def test_decode_maps_every_parser_failure_to_parse_error():
             decode(frame)
         with pytest.raises(ParseError):
             decode(frame.decode("ascii"))
+
+
+def test_decode_refuses_a_byte_order_mark_as_json_loads_does():
+    message = "not valid JSON at offset 0: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    for frame in (b"\xef\xbb\xbf" + captures.TEST3_NODE1.encode(), "\ufeff" + captures.TEST3_NODE1):
+        with pytest.raises(ParseError) as caught:
+            decode(frame)
+        assert str(caught.value) == message and caught.value.offset == 0
+
+
+def test_decode_refuses_input_that_is_not_text_or_bytes():
+    for raw in (memoryview(b"{}"), None):
+        with pytest.raises(TypeError, match="must be str, bytes or bytearray, not %s" % type(raw).__name__):
+            decode(raw)
+
+
+def with_data(member) -> str:
+    body = json.loads(captures.TEST3_NODE1)
+    body["OpenWeatherMessage"]["Data"] = member
+    return json.dumps(body)
+
+
+def test_decode_reads_number_leaves_as_their_text():
+    assert decode(with_data({"PTU": {"Air-Pressure": 1013}})).data.ptu == PtuBlock(air_pressure="1013")
+    assert decode(with_data({"PTU": {"Air-Pressure": 1013.50}})).data.ptu == PtuBlock(air_pressure="1013.5")
+
+
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        ({"PTU": {"Air-Pressure": "1013", "Note": None}}, '"Note" is not a string'),
+        ({"WIND": {"Direction": "160"}}, '"Direction" is not an object'),
+        ({"WIND": {"Direction": {"min": {"deep": 1}}, "Speed": {"ave": True}}}, '"ave" is not a string'),
+    ],
+)
+def test_decode_rejects_bad_leaves_and_holders(member, message):
+    with pytest.raises(SchemaError) as caught:
+        decode(with_data(member))
+    assert str(caught.value) == message
+
+
+def test_decode_skips_an_object_where_a_leaf_belongs():
+    data = decode(with_data({"PTU": {"Air-Pressure": "1013", "Air-Temperature": {"x": None}}})).data
+    assert data.ptu == PtuBlock(air_pressure="1013")
 
 
 def test_error_band_is_registered():
@@ -596,3 +680,139 @@ def test_data_decoding_matches_the_schema(member):
             assert dataclasses.asdict(block) == expected[attr]
         else:
             assert block is None
+
+
+# -- encode against the reference renderer ----------------------------------------
+#
+# codec_reference holds the renderer that encoding was compiled from.  Every
+# slot gets hostile text (JSON and format-string syntax, control characters,
+# non-ASCII, a lone surrogate) or a value of the wrong type now and then.
+
+HOSTILE = ("", "{", "}", "[ ]", '" : "', ", ", "%s", "%(meta)s", "%%", "\x00", "\n", "\\", '"', "é", " ", "\ud800")
+TEXT = st.one_of(st.sampled_from(HOSTILE), st.text(max_size=6))
+ODD = st.one_of(st.booleans(), st.none(), st.floats(allow_nan=False), st.just(b"\x01\x02\x03\x04"), st.integers(-1, 70000))
+NODE_IDS = st.integers(0, 2**256 - 1).map("%064x".__mod__)
+ADDRESSES = st.sampled_from(("172.21.25.16", "10.0.0.1", "::1", "fe80::1"))
+TIMESTAMPS = st.integers(0, 2**31).map(lambda second: format_timestamp(second * 1000))
+DECIMALS = st.sampled_from(("1014.1", "-0.5", "160", "0"))
+
+
+def slot(valid, typed: bool):
+    """A valid value; unless typed, one time in six text or a value of another type."""
+    if typed:
+        return valid
+    picks = ["valid"] * 10 + ["text", "odd"]  # sampled_from draws evenly; integers() favours the ends
+    return st.sampled_from(picks).flatmap(lambda pick: {"valid": valid, "text": TEXT, "odd": ODD}[pick])
+
+
+def metas(typed: bool):
+    # an address may also be an int, and a zone or version may end in a newline ("$" lets it through)
+    return st.builds(
+        MetaInfo,
+        node_id=slot(NODE_IDS, typed),
+        peer_ip=slot(ADDRESSES if typed else st.one_of(ADDRESSES, st.integers(0, 2**32 - 1)), typed),
+        location=st.builds(
+            UtmLocation,
+            st.integers(0, 10**7),
+            st.integers(0, 10**6),
+            st.sampled_from(("35V", "1A") if typed else ("35V", "1A", "12C", "7X", "35V\n", "V")),
+        ),
+        bandwidth=slot(st.integers(0, 8), typed),
+        timestamp=slot(TIMESTAMPS, typed),
+        port=slot(st.integers(1, 65535), typed),
+        update_interval_ms=slot(st.integers(1, 10**7), typed),
+        peers_requested=slot(st.integers(1, 100), typed),
+        keep_alive_ms=slot(st.integers(1, 10**7), typed),
+        version=slot(st.sampled_from(("OpenWeather/1.0",) if typed else ("OpenWeather/1.0", "OpenWeather/1.0\n")), typed),
+    )
+
+
+def blocks(block, typed: bool):
+    fields = {field.name: slot(st.one_of(DECIMALS, TEXT), typed) for field in dataclasses.fields(block)}
+    return st.one_of(st.none(), st.builds(block, **fields))
+
+
+def peer_entries(typed: bool):
+    return st.builds(
+        PeerEntry,
+        peer_ip=slot(ADDRESSES, typed),
+        port=slot(st.integers(1, 65535), typed),
+        bandwidth=slot(st.integers(0, 8), typed),
+    )
+
+
+def listing_of_100(rng: random.Random) -> dict:
+    return {
+        "%064x" % rng.getrandbits(256): PeerEntry(
+            "10.%d.%d.%d" % (rng.randrange(256), rng.randrange(256), rng.randrange(1, 255)),
+            rng.randint(1, 65535),
+            rng.randint(0, 8),
+        )
+        for _ in range(100)
+    }
+
+
+def payloads(typed: bool) -> dict:
+    """Payload kind -> strategy for it."""
+    services = st.dictionaries(
+        slot(st.sampled_from(SERVICES), typed), slot(st.sampled_from(SERVICE_FLAGS), typed), max_size=4
+    )
+    peers = st.one_of(
+        st.dictionaries(slot(NODE_IDS, typed), peer_entries(typed), max_size=4),
+        st.integers(0, 2**32).map(lambda seed: listing_of_100(random.Random(seed))),
+    )
+    return {
+        "data": st.builds(
+            WeatherData,
+            ptu=blocks(PtuBlock, typed),
+            wind=blocks(WindBlock, typed),
+            precipitation=blocks(PrecipitationBlock, typed),
+        ),
+        "services": st.builds(InfoPayload, services=services),
+        "peers": st.builds(InfoPayload, peers=peers),
+        "retrieve": st.builds(
+            RetrieveRequest,
+            services=st.lists(slot(st.sampled_from(SERVICES), typed), min_size=1, max_size=4, unique=True),
+            timestamp=slot(TIMESTAMPS, typed),
+        ),
+    }
+
+
+PAYLOAD_OF = {103: "services", 105: "peers", 201: "retrieve", 300: "data", 301: "data"}
+CARRIED_BY = {"data": "data", "services": "info", "peers": "info", "retrieve": "retrieve"}  # Envelope attribute
+
+
+@st.composite
+def envelopes(draw, typed: bool | None = None):
+    """Envelopes with hostile text; unless typed, half of them also put odd values in their slots."""
+    if typed is None:
+        typed = draw(st.booleans())
+    code = draw(st.sampled_from((100, 101, 102, 103, 105, 107, 201, 202, 300, 301, 600, 601)))
+    strategies = payloads(typed)
+    kinds = [PAYLOAD_OF[code]] if code in PAYLOAD_OF else []
+    if not typed and draw(st.integers(0, 9)) == 0:  # now and then a payload the code forbids, or a second one
+        kinds.append(draw(st.sampled_from(sorted(strategies))))
+    extra = {}
+    for kind in kinds:
+        extra.setdefault(CARRIED_BY[kind], draw(strategies[kind]))
+    return Envelope(code, draw(metas(typed)), **extra)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(envelopes())
+@example(Envelope(100, meta(port=True)))  # passes validate, then refused as a bool
+@example(Envelope(300, meta(), data=WeatherData(wind=WindBlock(speed_ave=None, direction_min=True, speed_max=5))))
+@example(Envelope(105, meta(), info=InfoPayload(peers={False: PeerEntry("é", 1.5, None)})))
+def test_encode_and_fragment_match_the_reference(envelope):
+    assert reference.outcome(encode, envelope) == reference.outcome(reference.encode, envelope)
+    assert reference.outcome(payload_fragment, envelope) == reference.outcome(reference.payload_fragment, envelope)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(envelopes(typed=True))
+def test_decode_inverts_encode(envelope):
+    try:
+        raw = encode(envelope)
+    except (EncodeError, UnicodeEncodeError):  # invalid, or a lone surrogate
+        return
+    assert decode(raw) == envelope

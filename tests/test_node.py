@@ -96,6 +96,21 @@ def test_dispatch_error_answered_with_unexpected_status(monkeypatch, caplog):
     assert [o.code for o in replies] == [103]
 
 
+def test_on_envelope_dispatches_an_envelope_decoded_elsewhere(monkeypatch):
+    alice, bob = established_pair()
+    (request,) = alice.request_services("conn", 5)
+    (reply,) = bob.on_envelope("conn", decode(request.frame[:-1]), 5)
+    assert reply.code == 103 and decode(reply.frame[:-1]).info.services
+
+    def explode(self, session, envelope, now_ms):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Engine, "handle_message", explode)
+    (reply,) = bob.on_envelope("conn", decode(request.frame[:-1]), 7)
+    assert reply.code == 600
+    assert bob.session("conn").last_rx == 7
+
+
 def test_every_outbound_carries_its_frames_type_code():
     alice = runtime_for(1)
     bob = runtime_for(2, generator=SampleGenerator(GeneratorConfig(interval_ms=1000)))

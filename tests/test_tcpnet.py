@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from openweather import tcpnet
+from openweather import node, tcpnet
 from openweather.codec import ProtocolCode, UtmLocation, decode, encode
 from openweather.engine import Engine, NodeConfig
 from openweather.identity import random_node_id
@@ -170,6 +170,36 @@ def test_handshake_and_discovery_roundtrip():
     finally:
         client.close()
         server.stop()
+
+
+def test_client_decodes_each_reply_once(monkeypatch):
+    decoded = []
+
+    def counting(module):
+        original = module.decode
+
+        def decode_and_count(frame):
+            decoded.append(frame)
+            return original(frame)
+
+        monkeypatch.setattr(module, "decode", decode_and_count)
+
+    counting(tcpnet)  # the client's replies
+    counting(node)  # the server's requests
+    server = make_server(seed=2)
+    server.start()
+    port = server.port
+    client = make_client(port)
+    try:
+        client.handshake()
+        client.services()
+    finally:
+        client.close()
+        server.stop()
+    # two requests and two replies, each decoded by its receiver alone
+    assert len(decoded) == 4
+    # the client's runtime still took the replies in: the handshake reply registered the server
+    assert client.runtime.session(("127.0.0.1", port)).remote.node_id == server.runtime.config.node_id
 
 
 def test_peer_listing_excludes_the_requester():
