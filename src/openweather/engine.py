@@ -14,6 +14,8 @@ A session's stream_active flag is the other direction: it tracks our own
 subscription to the peer's feed as a requester.  Anything arriving in a
 state the dispatch below does not allow is answered with a Type-600
 status and no state change; a closed session swallows input silently.
+The node runtime drops a session as soon as it closes, so only engine
+callers that keep sessions themselves ever see the Closed state.
 """
 
 from __future__ import annotations
@@ -60,10 +62,9 @@ _ANSWERABLE = (SessionState.HANDSHAKE_SENT,) + _ACTIVE
 
 @dataclass
 class Session:
-    """Protocol state for one connection."""
+    """Protocol state for one connection, keyed as the transport keys it."""
 
-    remote_ip: str = ""
-    remote_port: int = 0
+    key: object = None
     state: SessionState = SessionState.IDLE
     remote: PeerRecord | None = None
     last_rx: int = 0

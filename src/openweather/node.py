@@ -5,6 +5,13 @@ and sensor generator of one node, and exposes plain event-in/outputs-out
 methods.  A transport (the TCP server or the simulator) calls them with
 its own notion of time, then performs the returned sends and hangups; the
 runtime itself never blocks and never touches a socket.
+
+A session lives exactly as long as its connection.  open_session (a peer
+connected to us) and connect (we connect to a peer) open one; the
+transport's on_disconnect, or a Hangup the runtime emits, ends it and
+removes it from ``sessions``.  A frame for a key without a session is
+dropped unread, so input that was in flight when a session closed
+draws no reply.
 """
 
 from __future__ import annotations
@@ -15,17 +22,7 @@ from dataclasses import dataclass
 
 from . import vendor
 from .codec import CodecError, Envelope, ProtocolCode, decode, encode, validate
-from .engine import (
-    Callbacks,
-    CloseSession,
-    Engine,
-    NodeConfig,
-    SendMessage,
-    Session,
-    SessionState,
-    StartStream,
-    StopStream,
-)
+from .engine import Callbacks, Engine, NodeConfig, SendMessage, Session, StartStream, StopStream
 from .sensors import SampleGenerator, SampleStore
 
 log = logging.getLogger(__name__)
@@ -79,7 +76,7 @@ class NodeRuntime:
             callbacks=callbacks,
             rng=rng,
         )
-        self.sessions: dict = {}
+        self.sessions: dict = {}  # open connections only: key -> Session
         self.subscribers: dict = {}  # subscribed keys in subscription order; values unused
         self._next_sample_ms = start_ms + generator.interval_ms if generator else None
         self._sweep_interval_ms = sweep_interval_ms
@@ -88,50 +85,54 @@ class NodeRuntime:
     # -- sessions -------------------------------------------------------------
 
     def session(self, key) -> Session:
-        found = self.sessions.get(key)
-        if found is None:
-            found = Session()
-            self.sessions[key] = found
-        return found
+        """The open session on key; KeyError if there is none."""
+        return self.sessions[key]
 
-    def open_session(self, key, remote_ip: str = "", remote_port: int = 0) -> Session:
-        session = self.session(key)
-        session.remote_ip = remote_ip
-        session.remote_port = remote_port
+    def open_session(self, key) -> Session:
+        """Start the session of a connection a peer made to us."""
+        session = self.sessions[key] = Session(key)
         return session
 
-    def connect(self, key, now_ms: int, remote_ip: str = "", remote_port: int = 0) -> list:
+    def connect(self, key, now_ms: int) -> list:
         """Start a session we initiate: emits the opening handshake."""
-        session = self.open_session(key, remote_ip, remote_port)
-        return self._perform(self.engine.initiate_handshake(session, now_ms), key, now_ms)
+        session = self.open_session(key)
+        return self._perform(self.engine.initiate_handshake(session, now_ms), key)
 
     def on_disconnect(self, key, now_ms: int) -> None:
-        session = self.sessions.get(key)
-        if session is not None:
-            session.state = SessionState.CLOSED
-            session.stream_active = False
+        """The connection on key is gone: drop its session and subscription."""
+        self.sessions.pop(key, None)
         self.subscribers.pop(key, None)
 
     # -- inbound --------------------------------------------------------------
 
     def on_frame(self, key, frame: bytes, now_ms: int) -> list:
-        """Decode, validate and dispatch one frame; returns outputs."""
+        """Decode, validate and dispatch one frame; returns outputs.
+
+        A frame for a key without a session (closed, or never opened) is
+        dropped before it is decoded and draws no reply.
+        """
+        session = self.sessions.get(key)
+        if session is None:
+            return []
         try:
             envelope = decode(frame)
         except CodecError as exc:
             log.info("undecodable frame on %r: %s", key, exc)
-            self.session(key).last_rx = now_ms
+            session.last_rx = now_ms
             return self._reply_unexpected(key, now_ms)
         report = validate(envelope)
         if not report.ok:
             log.info("invalid envelope on %r: %s", key, "; ".join(report.problems))
-            self.session(key).last_rx = now_ms
+            session.last_rx = now_ms
             return self._reply_unexpected(key, now_ms)
         return self.on_envelope(key, envelope, now_ms)
 
     def on_envelope(self, key, envelope: Envelope, now_ms: int) -> list:
-        """Dispatch one envelope that the caller has decoded and validated."""
-        session = self.session(key)
+        """Dispatch one envelope that the caller has decoded and validated;
+        like on_frame, it drops one for a key without a session."""
+        session = self.sessions.get(key)
+        if session is None:
+            return []
         try:
             actions = self.engine.handle_message(session, envelope, now_ms)
         except Exception:
@@ -140,7 +141,7 @@ class NodeRuntime:
             log.warning("dispatch failed on %r", key, exc_info=True)
             session.last_rx = now_ms
             return self._reply_unexpected(key, now_ms)
-        return self._perform(actions, key, now_ms)
+        return self._perform(actions, key)
 
     def _reply_unexpected(self, key, now_ms: int) -> list:
         status = self.engine.status_message(ProtocolCode.UNEXPECTED_MESSAGE, now_ms)
@@ -149,20 +150,20 @@ class NodeRuntime:
     # -- requester operations --------------------------------------------------
 
     def request_services(self, key, now_ms: int) -> list:
-        return self._perform(self.engine.request_services(self.session(key), now_ms), key, now_ms)
+        return self._perform(self.engine.request_services(self.session(key), now_ms), key)
 
     def request_peers(self, key, now_ms: int) -> list:
-        return self._perform(self.engine.request_peers(self.session(key), now_ms), key, now_ms)
+        return self._perform(self.engine.request_peers(self.session(key), now_ms), key)
 
     def request_realtime(self, key, now_ms: int) -> list:
-        return self._perform(self.engine.request_realtime(self.session(key), now_ms), key, now_ms)
+        return self._perform(self.engine.request_realtime(self.session(key), now_ms), key)
 
     def stop_realtime(self, key, now_ms: int) -> list:
-        return self._perform(self.engine.stop_realtime(self.session(key), now_ms), key, now_ms)
+        return self._perform(self.engine.stop_realtime(self.session(key), now_ms), key)
 
     def request_on_demand(self, key, services, timestamp: str, now_ms: int) -> list:
         actions = self.engine.request_on_demand(self.session(key), services, timestamp, now_ms)
-        return self._perform(actions, key, now_ms)
+        return self._perform(actions, key)
 
     # -- timers ---------------------------------------------------------------
 
@@ -171,7 +172,8 @@ class NodeRuntime:
 
         Only on_tick moves these timers, so the answer stays valid until the
         next on_tick call; a caller may cache it per node and skip on_tick
-        for nodes not yet due.
+        for nodes not yet due.  Opening or closing a session moves neither:
+        the sweep stays on its grid whatever the session table holds.
         """
         dues = [self._next_sweep_ms]
         if self._next_sample_ms is not None:
@@ -179,7 +181,15 @@ class NodeRuntime:
         return min(dues)
 
     def on_tick(self, now_ms: int) -> list:
-        """Run every timer due by now: sensor cadence, keep-alive sweep."""
+        """Run every timer due by now: sensor cadence, keep-alive sweep.
+
+        After a stall the sample timer makes up every missed sample, and
+        each one streams to every subscriber.  Missed keep-alive sweeps
+        catch up in one sweep at the last grid point due: last_rx does not
+        move while the node catches up, so the sweeps in between would
+        close no session that this one keeps.  A session the sweep closes
+        is removed, and its key comes back as a Hangup.
+        """
         outputs = []
         while self._next_sample_ms is not None and self._next_sample_ms <= now_ms:
             tick = self._next_sample_ms
@@ -195,31 +205,22 @@ class NodeRuntime:
                     if message is None:
                         message = encode(self.engine.realtime_message(block, tick)) + b"\n"
                     outputs.append(Outbound(key, message, STREAM_CODE))
-        while self._next_sweep_ms <= now_ms:
-            sweep_at = self._next_sweep_ms
+        if self._next_sweep_ms <= now_ms:
+            sweep_at = now_ms - (now_ms - self._next_sweep_ms) % self._sweep_interval_ms
             self._next_sweep_ms = sweep_at + self._sweep_interval_ms
-            closed = self.engine.keep_alive_sweep(self.sessions.values(), sweep_at)
-            if closed:
-                keys = {id(session): key for key, session in self.sessions.items()}
-                for session, action in closed:
-                    key = keys.get(id(session))
-                    if key is None:
-                        continue
-                    self.subscribers.pop(key, None)
-                    outputs.append(Hangup(key, action.reason))
+            for session, action in self.engine.keep_alive_sweep(self.sessions.values(), sweep_at):
+                self.on_disconnect(session.key, sweep_at)
+                outputs.append(Hangup(session.key, action.reason))
         return outputs
 
     # -- engine action translation ---------------------------------------------
 
-    def _perform(self, actions: list, key, now_ms: int) -> list:
+    def _perform(self, actions: list, key) -> list:
         outputs = []
         for action in actions:
             if isinstance(action, SendMessage):
                 envelope = action.envelope
                 outputs.append(Outbound(key, encode(envelope) + b"\n", int(envelope.type_code)))
-            elif isinstance(action, CloseSession):
-                self.on_disconnect(key, now_ms)
-                outputs.append(Hangup(key, action.reason))
             elif isinstance(action, StartStream):
                 self.subscribers[key] = None
                 latest = self.store.latest()

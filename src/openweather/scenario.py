@@ -296,9 +296,7 @@ class SimRunner:
             conn = self.net.connect(a, b)
             self._conns[pair] = conn
             self._by_id[conn.conn_id] = conn
-            self.nodes[b].runtime.open_session(
-                conn, remote_ip=self.nodes[a].spec.ip, remote_port=self.nodes[a].spec.port
-            )
+            self.nodes[b].runtime.open_session(conn)
         return conn
 
     def _execute(self, command: Command, now_ms: int) -> None:
@@ -315,9 +313,7 @@ class SimRunner:
         peer = command.args[0]
         if verb == "handshake":
             conn = self._connection(command.node, peer, create=True)
-            outputs = runtime.connect(
-                conn, now_ms, remote_ip=self.nodes[peer].spec.ip, remote_port=self.nodes[peer].spec.port
-            )
+            outputs = runtime.connect(conn, now_ms)
         else:
             conn = self._connection(command.node, peer)
             if verb == "discover":

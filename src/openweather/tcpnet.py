@@ -142,7 +142,7 @@ class NodeServer:
 
     def _accept(self) -> None:
         try:
-            sock, addr = self._listener.accept()
+            sock, _ = self._listener.accept()
         except OSError as exc:  # the peer left before we got to it, or no descriptors left
             log.info("accept failed: %s", exc)
             return
@@ -151,7 +151,7 @@ class NodeServer:
         conn = _Connection(self._next_key, sock)
         self._conns[conn.key] = conn
         self._selector.register(sock, selectors.EVENT_READ, conn)
-        self.runtime.open_session(conn.key, remote_ip=addr[0], remote_port=addr[1])
+        self.runtime.open_session(conn.key)
 
     def _read(self, conn: _Connection) -> None:
         try:
@@ -254,7 +254,7 @@ class PeerClient:
                 raise ProtocolFault(got)
 
     def handshake(self) -> Envelope:
-        return self._ask(self.runtime.connect(self._remote, time_ms(), *self._remote), ProtocolCode.HANDSHAKE_S)
+        return self._ask(self.runtime.connect(self._remote, time_ms()), ProtocolCode.HANDSHAKE_S)
 
     def services(self) -> Envelope:
         outputs = self.runtime.request_services(self._remote, time_ms())

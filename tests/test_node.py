@@ -3,9 +3,14 @@
 import logging
 from decimal import Decimal
 
-from openweather.codec import UtmLocation, decode, encode, parse_timestamp
-from openweather.engine import Engine, NodeConfig, SessionState
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+import captures
+from openweather.codec import CodecError, UtmLocation, decode, encode, parse_timestamp, validate
+from openweather.engine import Engine, NodeConfig, SessionState, StateError
 from openweather.node import Hangup, NodeRuntime, Outbound
+from openweather.peers import PeerRecord
 from openweather.sensors import GeneratorConfig, SampleGenerator, SampleStore, VendorLineSource
 
 LOCATION = UtmLocation(6672224, 385565, "35V")
@@ -28,12 +33,20 @@ def runtime_for(n: int, generator=None, **overrides) -> NodeRuntime:
 
 
 def pump(src: NodeRuntime, dst: NodeRuntime, outputs, now_ms):
-    """Deliver every Outbound to the other runtime; returns its outputs."""
+    """Deliver every Outbound to the other runtime; returns its outputs.
+
+    The receiving side's session opens on first sight of a key, as a
+    transport opens it on accept; a key it has seen and closed stays closed.
+    """
+    seen = vars(dst).setdefault("_pumped_keys", set())
     produced = []
     for output in outputs:
         assert isinstance(output, (Outbound, Hangup))
         if isinstance(output, Outbound):
             assert output.frame.endswith(b"\n")
+            if output.key not in seen and output.key not in dst.sessions:
+                dst.open_session(output.key)
+            seen.add(output.key)
             produced.extend(dst.on_frame(output.key, output.frame[:-1], now_ms))
     return produced
 
@@ -41,7 +54,7 @@ def pump(src: NodeRuntime, dst: NodeRuntime, outputs, now_ms):
 def test_handshake_between_two_runtimes():
     alice = runtime_for(1)
     bob = runtime_for(2)
-    opening = alice.connect("conn", now_ms=0, remote_ip="172.21.25.12", remote_port=62535)
+    opening = alice.connect("conn", now_ms=0)
     assert len(opening) == 1 and decode(opening[0].frame).type_code == 100
     replies = pump(alice, bob, opening, now_ms=1)
     assert decode(replies[0].frame).type_code == 101
@@ -222,7 +235,7 @@ def test_keep_alive_sweep_hangs_up_quiet_sessions():
     outputs = bob.on_tick(2001 + 999)  # next sweep tick after the budget lapses
     hangups = [o for o in outputs if isinstance(o, Hangup)]
     assert len(hangups) == 1 and hangups[0].key == "conn"
-    assert bob.session("conn").state is SessionState.CLOSED
+    assert "conn" not in bob.sessions
     # a closed session swallows further frames
     assert bob.on_frame("conn", encode(alice.engine.status_message(102, 4000)), 4000) == []
 
@@ -249,4 +262,212 @@ def test_disconnect_clears_subscription():
     assert list(bob.subscribers) == ["conn"]
     bob.on_disconnect("conn", 1600)
     assert list(bob.subscribers) == []
-    assert bob.session("conn").state is SessionState.CLOSED
+    assert "conn" not in bob.sessions
+
+
+# -- session lifetime ------------------------------------------------------------
+
+
+def test_missed_sweeps_catch_up_in_one_step(monkeypatch):
+    sweeps = []
+    sweep = Engine.keep_alive_sweep
+
+    def counting(self, sessions, now_ms):
+        sweeps.append(now_ms)
+        return sweep(self, sessions, now_ms)
+
+    monkeypatch.setattr(Engine, "keep_alive_sweep", counting)
+    runtime = runtime_for(1)
+    assert runtime.on_tick(10_000_000) == []
+    assert sweeps == [10_000_000]
+    # off the grid: one sweep at the last grid point due, and the grid holds
+    runtime.on_tick(12_345_678)
+    assert sweeps == [10_000_000, 12_345_000]
+    assert runtime.next_due_ms() == 12_346_000
+
+
+@given(
+    peers=st.lists(
+        st.tuples(
+            st.sampled_from((SessionState.IDLE, SessionState.ESTABLISHED, SessionState.STREAMING)),
+            st.integers(0, 20_000),  # last_rx after start
+            st.one_of(st.none(), st.integers(1, 10_000)),  # advertised keep-alive; None: ours
+        ),
+        max_size=8,
+    ),
+    start=st.integers(0, 10_000),
+    stall=st.integers(0, 40_000),
+)
+def test_one_catch_up_sweep_closes_what_stepwise_sweeps_would(peers, start, stall):
+    runtime = NodeRuntime(NodeConfig("%064x" % 1, LOCATION, 6, keep_alive_ms=3000), start_ms=start)
+    budgets = {}
+    for key, (state, last_rx, keep_alive) in enumerate(peers):
+        session = runtime.open_session(key)
+        session.state = state
+        session.last_rx = start + last_rx
+        if keep_alive is not None:
+            session.remote = PeerRecord("%064x" % (key + 2), "10.0.0.1", 62535, 6, keep_alive_ms=keep_alive)
+        if state is not SessionState.IDLE:
+            budgets[key] = session.last_rx + (3000 if keep_alive is None else keep_alive)
+    now = start + stall
+    stepwise = set()
+    for sweep_at in range(start + 1000, now + 1, 1000):
+        stepwise |= {key for key, deadline in budgets.items() if deadline < sweep_at}
+    hangups = runtime.on_tick(now)
+    assert {hangup.key for hangup in hangups} == stepwise
+    assert len(hangups) == len(stepwise)
+    assert set(runtime.sessions) == set(range(len(peers))) - stepwise
+    assert runtime.next_due_ms() == start + 1000 * (stall // 1000 + 1)
+
+
+def _sample_frames():
+    """Well-formed frames: every header-only type, and the recorded captures."""
+    alice = runtime_for(1)
+    codes = (100, 101, 102, 104, 106, 107, 200, 202, 500, 501, 600, 601, 602)
+    frames = [encode(alice.engine.status_message(code, 4000)) for code in codes]
+    return frames + [text.encode() for _, text, _, _ in captures.ALL]
+
+
+_FRAMES = _sample_frames()
+
+
+class SessionTableTracksConnections(RuleBasedStateMachine):
+    """Two runtimes joined by pump, driven as a transport would drive them.
+
+    Closing a connection ends it at both ends: on_disconnect closes one
+    key on both runtimes, and a Hangup from one makes the transport tell
+    the other.  After every step each runtime holds exactly the keys
+    opened on it and not yet closed.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.alice = runtime_for(1, keep_alive_ms=2000)
+        generator = SampleGenerator(GeneratorConfig(interval_ms=1000))
+        self.bob = runtime_for(2, keep_alive_ms=2000, generator=generator)
+        self.expected = {self.alice: set(), self.bob: set()}  # runtime -> keys open on it
+        self.closed = set()
+        self.now = 0
+        self.keys = 0
+
+    def _pair(self, first: bool):
+        return (self.alice, self.bob) if first else (self.bob, self.alice)
+
+    def _new_key(self) -> str:
+        self.keys += 1
+        return "conn%d" % self.keys
+
+    def _open_keys(self) -> list:
+        return sorted(self.expected[self.alice] | self.expected[self.bob])
+
+    def _close(self, key) -> None:
+        for keys in self.expected.values():
+            keys.discard(key)
+        self.closed.add(key)
+
+    def _carry(self, src, dst, outputs) -> None:
+        """Deliver frames back and forth until both sides are quiet."""
+        while outputs:
+            for output in outputs:
+                if isinstance(output, Outbound) and output.key not in self.closed:
+                    self.expected[dst].add(output.key)  # pump opens it on first sight
+            replies = pump(src, dst, outputs, self.now)
+            for output in outputs:
+                if isinstance(output, Hangup):
+                    dst.on_disconnect(output.key, self.now)
+                    self._close(output.key)
+            src, dst, outputs = dst, src, replies
+
+    @rule(first=st.booleans())
+    def connect(self, first):
+        src, dst = self._pair(first)
+        key = self._new_key()
+        outputs = src.connect(key, self.now)
+        self.expected[src].add(key)
+        self._carry(src, dst, outputs)
+
+    @rule(first=st.booleans())
+    def accept(self, first):
+        runtime, _ = self._pair(first)
+        key = self._new_key()
+        runtime.open_session(key)  # a peer that never says anything
+        self.expected[runtime].add(key)
+
+    @precondition(lambda self: self._open_keys())
+    @rule(
+        first=st.booleans(),
+        data=st.data(),
+        operation=st.sampled_from(("request_services", "request_peers", "request_realtime", "stop_realtime")),
+    )
+    def request(self, first, data, operation):
+        src, dst = self._pair(first)
+        if not self.expected[src]:
+            return
+        key = data.draw(st.sampled_from(sorted(self.expected[src])))
+        try:
+            outputs = getattr(src, operation)(key, self.now)
+        except StateError:
+            return
+        self._carry(src, dst, outputs)
+
+    @precondition(lambda self: self._open_keys())
+    @rule(data=st.data())
+    def disconnect(self, data):
+        key = data.draw(st.sampled_from(self._open_keys()))
+        for runtime in (self.alice, self.bob):
+            runtime.on_disconnect(key, self.now)
+        self._close(key)
+
+    @rule(advance=st.integers(0, 3000))
+    def tick(self, advance):
+        self.now += advance
+        for first in (True, False):
+            src, dst = self._pair(first)
+            self._carry(src, dst, src.on_tick(self.now))
+
+    @precondition(lambda self: self.closed)
+    @rule(data=st.data(), first=st.booleans(), frame=st.sampled_from(_FRAMES) | st.binary(max_size=200))
+    def frame_on_a_closed_key(self, data, first, frame):
+        runtime, _ = self._pair(first)
+        key = data.draw(st.sampled_from(sorted(self.closed)))
+        assert runtime.on_frame(key, frame, self.now) == []
+        assert key not in runtime.sessions
+
+    @invariant()
+    def sessions_are_the_open_connections(self):
+        for runtime, keys in self.expected.items():
+            assert set(runtime.sessions) == keys
+
+
+SessionTableTracksConnections.TestCase.settings = settings(deadline=None)
+TestSessionTableTracksConnections = SessionTableTracksConnections.TestCase
+
+
+@st.composite
+def _flipped(draw):
+    frame = bytearray(draw(st.sampled_from(_FRAMES)))
+    index = draw(st.integers(0, len(frame) - 1))
+    frame[index] = draw(st.integers(0, 255))
+    return bytes(frame)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(frame=st.binary(max_size=64 * 1024) | st.sampled_from(_FRAMES) | _flipped())
+@example(frame=b"[" * 64 * 1024)
+@example(frame=b" " * (64 * 1024 - len(_FRAMES[2])) + _FRAMES[2])  # a padded type 102: dispatched
+def test_any_frame_on_an_established_session_is_answered_or_dispatched(frame):
+    _, bob = established_pair()
+    _, twin = established_pair()
+    held = len(bob.sessions)
+    outputs = bob.on_frame("conn", frame, 5000)
+    assert len(bob.sessions) == held
+    try:
+        envelope = decode(frame)
+    except CodecError:
+        envelope = None
+    if envelope is not None and validate(envelope).ok:
+        assert outputs == twin.on_envelope("conn", envelope, 5000)
+    else:
+        (reply,) = outputs
+        assert reply.key == "conn" and reply.code == 600
+        assert decode(reply.frame[:-1]).type_code == 600

@@ -1,5 +1,6 @@
 """Scenario files: parsing, defaults, and deterministic virtual-network replays."""
 
+import hashlib
 import math
 
 import pytest
@@ -23,6 +24,26 @@ node n2 ip=172.21.25.20 bandwidth=6
 link n1 n2 latency_ms=0 bandwidth=56000
 at 0 n1 handshake n2
 """
+
+
+# A hub streaming each second to a listen-only leaf that advertises a 3 s
+# keep-alive: the hub's sweep at t=4000 hangs up on it while that second's
+# type-300 frame is still on the 56 kbit/s wire.  A second leaf asks for
+# services, peers and one stored sample.
+GOLDEN = """
+node hub ip=10.0.0.1 interval=1000 seed=7
+node quiet ip=10.0.0.2 interval=60000 keep-alive=3000 seed=8
+node busy ip=10.0.0.3 interval=60000 seed=9
+link hub quiet latency_ms=20 bandwidth=56000
+link hub busy latency_ms=5 bandwidth=1000000
+at 0 quiet handshake hub
+at 10 busy handshake hub
+at 500 quiet stream hub
+at 1500 busy discover hub
+at 2500 busy peers hub
+at 3500 busy fetch hub 1970-01-01T00:00:02Z PTU
+"""
+GOLDEN_SHA256 = "4c3d48e9befef05c7d2a3e6241b41955f9003c6ba351b52621d04d16d8c91331"
 
 
 def test_parse_fills_in_defaults():
@@ -377,3 +398,20 @@ def test_runner_matches_the_tick_every_node_reference(text, chunk_ms):
     got = outcome(SimRunner(scenario), chunk_ms)
     assert got == outcome(ReferenceRunner(scenario), chunk_ms)
     assert got == outcome(SimRunner(scenario), chunk_ms)
+
+
+def test_golden_trace_is_pinned():
+    runner = SimRunner(parse_scenario(GOLDEN))
+    lines = [event.render() for event in runner.run()]
+    assert len(lines) == 30
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_SHA256
+    # the frame in flight at the hangup is delivered, draws no reply, and
+    # is the last the hub sends the quiet leaf in a run that goes on to 8.5 s
+    assert [line for line in lines if "quiet" in line][-2:] == [
+        "t=4000 hub->quiet send type=300 bytes=810",
+        "t=4136 hub->quiet recv type=300 bytes=810",
+    ]
+    # both ends dropped that connection; the busy leaf's stays open
+    hub, quiet, busy = (runner.nodes[name].runtime for name in ("hub", "quiet", "busy"))
+    assert quiet.sessions == {}
+    assert list(hub.sessions) == list(busy.sessions)

@@ -320,6 +320,49 @@ def test_oversized_line_drops_the_connection():
         server.stop()
 
 
+# -- session lifetime ------------------------------------------------------------
+
+
+def test_closed_connections_leave_no_sessions():
+    server = make_server(seed=16)
+    server.start()
+    try:
+        for _ in range(20):
+            client = make_client(server.port)
+            try:
+                client.handshake()
+            finally:
+                client.close()
+        deadline = time.monotonic() + 1.0
+        while server.runtime.sessions and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server.runtime.sessions) == 0
+    finally:
+        server.stop()
+
+
+def test_a_silent_client_is_hung_up_and_its_session_dropped():
+    server = make_server(seed=17)
+    server.start()
+    config = make_config(18, port=50018)
+    config.keep_alive_ms = 2000  # the budget the server holds this client to
+    client = PeerClient("127.0.0.1", server.port, config, timeout_s=5.0)
+    try:
+        client.handshake()
+        assert len(server.runtime.sessions) == 1
+        started = time.monotonic()
+        try:
+            assert client.sock.recv(4096) == b""
+        except ConnectionResetError:
+            pass
+        assert time.monotonic() - started > 1.9  # not before the budget lapsed
+        # the sweep removed the session before the socket was closed
+        assert len(server.runtime.sessions) == 0
+    finally:
+        client.close()
+        server.stop()
+
+
 # -- one event loop ------------------------------------------------------------
 
 
