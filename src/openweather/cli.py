@@ -309,7 +309,7 @@ def main(argv=None) -> int:
         print("owp: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except EncodeError as exc:
-        # client-side validation refused the request before it hit the wire
+        # validation refused a request, or a node header, before it hit the wire
         print("owp: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ProtocolFault as fault:

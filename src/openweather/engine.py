@@ -32,6 +32,7 @@ from .codec import (
     DEFAULT_PEERS_REQUESTED,
     DEFAULT_PORT,
     DEFAULT_UPDATE_INTERVAL_MS,
+    EncodeError,
     Envelope,
     InfoPayload,
     MetaInfo,
@@ -41,6 +42,7 @@ from .codec import (
     WeatherData,
     format_timestamp,
     parse_timestamp,
+    validate,
 )
 from .peers import PeerRecord, PeerTable, TableFullError
 from .sensors import SampleStore
@@ -164,6 +166,12 @@ class Engine:
         self.sample_store = sample_store
         self.callbacks = callbacks if callbacks is not None else Callbacks()
         self.rng = rng if rng is not None else random.Random()
+        # refuse now what this node could never send: its header, and its catalog if it has one
+        info = InfoPayload(services=dict(config.services)) if config.services else None
+        own = self._envelope(ProtocolCode.SERVICES_AVAILABLE_R if info else ProtocolCode.HANDSHAKE, 0, info=info)
+        problems = validate(own).problems
+        if problems:
+            raise EncodeError("this node could not send its header or catalog: " + "; ".join(problems))
 
     # -- message builders ---------------------------------------------------
 
@@ -362,10 +370,14 @@ class Engine:
     # -- housekeeping ---------------------------------------------------------
 
     def keep_alive_sweep(self, sessions, now_ms: int) -> list:
-        """Close sessions whose peer went quiet; returns (session, action) pairs."""
+        """Close sessions whose peer went quiet; returns (session, action) pairs.
+
+        A session that never heard a handshake (IDLE) holds no peer budget,
+        so it expires on the node's own, counted from when it opened.
+        """
         closed = []
         for session in sessions:
-            if session.state in (SessionState.IDLE, SessionState.CLOSED):
+            if session.state is SessionState.CLOSED:
                 continue
             allowance = session.remote.keep_alive_ms if session.remote else self.config.keep_alive_ms
             if session.last_rx + allowance < now_ms:

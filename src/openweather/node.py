@@ -7,11 +7,19 @@ its own notion of time, then performs the returned sends and hangups; the
 runtime itself never blocks and never touches a socket.
 
 A session lives exactly as long as its connection.  open_session (a peer
-connected to us) and connect (we connect to a peer) open one; the
-transport's on_disconnect, or a Hangup the runtime emits, ends it and
+connected to us) and connect (we connect to a peer) open one, and its
+keep-alive budget starts then, so a peer that never speaks expires too.
+The transport's on_disconnect, or a Hangup the runtime emits, ends it and
 removes it from ``sessions``.  A frame for a key without a session is
 dropped unread, so input that was in flight when a session closed
 draws no reply.
+
+Each inbound frame is one guarded step: decode, validate, dispatch, and
+encoding the replies.  Whatever fails in that step, the peer's frame or a
+reply this node cannot encode, is answered by _reject with one type-600
+status, so no frame escapes on_frame to stop the transport loop.  Stream
+frames are built in one place, _stream_frame, for the tick fan-out and the
+first frame of a new subscription alike.
 """
 
 from __future__ import annotations
@@ -21,13 +29,14 @@ import random
 from dataclasses import dataclass
 
 from . import vendor
-from .codec import CodecError, Envelope, ProtocolCode, decode, encode, validate
-from .engine import Callbacks, Engine, NodeConfig, SendMessage, Session, StartStream, StopStream
+from .codec import Envelope, ParseError, ProtocolCode, SchemaError, UnknownCodeError, decode, encode, validate
+from .engine import Engine, NodeConfig, SendMessage, Session, StartStream, StopStream
 from .sensors import SampleGenerator, SampleStore
 
 log = logging.getLogger(__name__)
 
 STREAM_CODE = int(ProtocolCode.REAL_TIME_DATA_R)
+SWEEP_INTERVAL_MS = 1000  # the keep-alive sweep's grid
 
 
 @dataclass(frozen=True)
@@ -60,27 +69,18 @@ class NodeRuntime:
         *,
         generator: SampleGenerator | None = None,
         store: SampleStore | None = None,
-        callbacks: Callbacks | None = None,
         rng: random.Random | None = None,
         local_ip: str | None = None,
         start_ms: int = 0,
-        sweep_interval_ms: int = 1000,
     ):
         self.config = config
         self.store = store if store is not None else SampleStore()
         self.generator = generator
-        self.engine = Engine(
-            config,
-            local_ip=local_ip,
-            sample_store=self.store,
-            callbacks=callbacks,
-            rng=rng,
-        )
+        self.engine = Engine(config, local_ip=local_ip, sample_store=self.store, rng=rng)
         self.sessions: dict = {}  # open connections only: key -> Session
         self.subscribers: dict = {}  # subscribed keys in subscription order; values unused
         self._next_sample_ms = start_ms + generator.interval_ms if generator else None
-        self._sweep_interval_ms = sweep_interval_ms
-        self._next_sweep_ms = start_ms + sweep_interval_ms
+        self._next_sweep_ms = start_ms + SWEEP_INTERVAL_MS
 
     # -- sessions -------------------------------------------------------------
 
@@ -88,14 +88,14 @@ class NodeRuntime:
         """The open session on key; KeyError if there is none."""
         return self.sessions[key]
 
-    def open_session(self, key) -> Session:
-        """Start the session of a connection a peer made to us."""
-        session = self.sessions[key] = Session(key)
+    def open_session(self, key, now_ms: int) -> Session:
+        """Start the session of a connection a peer made to us at now_ms."""
+        session = self.sessions[key] = Session(key, last_rx=now_ms)
         return session
 
     def connect(self, key, now_ms: int) -> list:
         """Start a session we initiate: emits the opening handshake."""
-        session = self.open_session(key)
+        session = self.open_session(key, now_ms)
         return self._perform(self.engine.initiate_handshake(session, now_ms), key)
 
     def on_disconnect(self, key, now_ms: int) -> None:
@@ -106,46 +106,44 @@ class NodeRuntime:
     # -- inbound --------------------------------------------------------------
 
     def on_frame(self, key, frame: bytes, now_ms: int) -> list:
-        """Decode, validate and dispatch one frame; returns outputs.
+        """Decode, validate and dispatch one frame; returns outputs."""
+        return self._step(key, now_ms, frame=frame)
+
+    def on_envelope(self, key, envelope: Envelope, now_ms: int) -> list:
+        """Dispatch one envelope that the caller has decoded and validated."""
+        return self._step(key, now_ms, envelope=envelope)
+
+    def _step(self, key, now_ms: int, frame: bytes | None = None, envelope: Envelope | None = None) -> list:
+        """The one guarded step of an inbound frame, or of its envelope.
 
         A frame for a key without a session (closed, or never opened) is
-        dropped before it is decoded and draws no reply.
+        dropped before it is decoded and draws no reply.  Anything that
+        fails between decoding the frame and encoding the last reply is
+        answered by _reject instead.
         """
         session = self.sessions.get(key)
         if session is None:
             return []
         try:
-            envelope = decode(frame)
-        except CodecError as exc:
-            log.info("undecodable frame on %r: %s", key, exc)
-            session.last_rx = now_ms
-            return self._reply_unexpected(key, now_ms)
-        report = validate(envelope)
-        if not report.ok:
-            log.info("invalid envelope on %r: %s", key, "; ".join(report.problems))
-            session.last_rx = now_ms
-            return self._reply_unexpected(key, now_ms)
-        return self.on_envelope(key, envelope, now_ms)
-
-    def on_envelope(self, key, envelope: Envelope, now_ms: int) -> list:
-        """Dispatch one envelope that the caller has decoded and validated;
-        like on_frame, it drops one for a key without a session."""
-        session = self.sessions.get(key)
-        if session is None:
-            return []
-        try:
-            actions = self.engine.handle_message(session, envelope, now_ms)
+            if envelope is None:
+                envelope = decode(frame)
+                report = validate(envelope)
+                if not report.ok:
+                    raise SchemaError("invalid envelope: " + "; ".join(report.problems))
+            return self._perform(self.engine.handle_message(session, envelope, now_ms), key)
+        except (ParseError, SchemaError, UnknownCodeError) as exc:  # the peer's frame
+            log.info("rejected frame on %r: %s", key, exc)
         except Exception:
-            # one peer's frame must not stop the node: the transport loop
-            # calling us serves every other connection too
-            log.warning("dispatch failed on %r", key, exc_info=True)
-            session.last_rx = now_ms
-            return self._reply_unexpected(key, now_ms)
-        return self._perform(actions, key)
+            # dispatch, or a reply that does not encode: a fault of this node,
+            # which must not stop the transport loop serving every connection
+            log.warning("frame on %r failed", key, exc_info=True)
+        return self._reject(key, now_ms)
 
-    def _reply_unexpected(self, key, now_ms: int) -> list:
+    def _reject(self, key, now_ms: int) -> list:
+        """Answer a frame whose step failed with one type-600 status."""
+        self.sessions[key].last_rx = now_ms
         status = self.engine.status_message(ProtocolCode.UNEXPECTED_MESSAGE, now_ms)
-        return [Outbound(key, encode(status) + b"\n", int(status.type_code))]
+        return self._perform([SendMessage(status)], key)
 
     # -- requester operations --------------------------------------------------
 
@@ -199,21 +197,22 @@ class NodeRuntime:
                 continue
             self.store.insert(sample)
             if self.subscribers:
-                block = vendor.to_data_block(sample)
-                message = None
-                for key in self.subscribers:
-                    if message is None:
-                        message = encode(self.engine.realtime_message(block, tick)) + b"\n"
-                    outputs.append(Outbound(key, message, STREAM_CODE))
+                frame = self._stream_frame(sample)
+                outputs.extend(Outbound(key, frame, STREAM_CODE) for key in self.subscribers)
         if self._next_sweep_ms <= now_ms:
-            sweep_at = now_ms - (now_ms - self._next_sweep_ms) % self._sweep_interval_ms
-            self._next_sweep_ms = sweep_at + self._sweep_interval_ms
+            sweep_at = now_ms - (now_ms - self._next_sweep_ms) % SWEEP_INTERVAL_MS
+            self._next_sweep_ms = sweep_at + SWEEP_INTERVAL_MS
             for session, action in self.engine.keep_alive_sweep(self.sessions.values(), sweep_at):
                 self.on_disconnect(session.key, sweep_at)
                 outputs.append(Hangup(session.key, action.reason))
         return outputs
 
     # -- engine action translation ---------------------------------------------
+
+    def _stream_frame(self, sample) -> bytes:
+        """A sample's type-300 frame, stamped with the sample's own time."""
+        message = self.engine.realtime_message(vendor.to_data_block(sample), sample.timestamp_ms)
+        return encode(message) + b"\n"
 
     def _perform(self, actions: list, key) -> list:
         outputs = []
@@ -225,8 +224,7 @@ class NodeRuntime:
                 self.subscribers[key] = None
                 latest = self.store.latest()
                 if latest is not None:
-                    message = self.engine.realtime_message(vendor.to_data_block(latest), latest.timestamp_ms)
-                    outputs.append(Outbound(key, encode(message) + b"\n", STREAM_CODE))
+                    outputs.append(Outbound(key, self._stream_frame(latest), STREAM_CODE))
             elif isinstance(action, StopStream):
                 self.subscribers.pop(key, None)
         return outputs

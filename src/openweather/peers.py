@@ -7,6 +7,7 @@ runs under the real clock and the virtual one.
 
 from __future__ import annotations
 
+import ipaddress
 import random
 from dataclasses import dataclass
 
@@ -138,6 +139,10 @@ def load_bootstrap(path) -> list[PeerRecord]:
             node_id, ip, port_text, bandwidth_text = parts
             if not is_node_id(node_id):
                 raise BootstrapError("line %d: bad node id %r" % (number, node_id))
+            try:
+                ipaddress.ip_address(ip)
+            except ValueError:
+                raise BootstrapError("line %d: bad address %r" % (number, ip))
             try:
                 port = int(port_text, 10)
                 bandwidth = int(bandwidth_text, 10)

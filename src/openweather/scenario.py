@@ -33,7 +33,7 @@ import shlex
 from dataclasses import dataclass, field
 
 # decode is unused here but stays a module attribute: bench/tracer.py wraps scenario.decode
-from .codec import UtmLocation, decode, parse_timestamp  # noqa: F401
+from .codec import EncodeError, UtmLocation, decode, parse_timestamp  # noqa: F401
 from .engine import NodeConfig, StateError
 from .identity import random_node_id
 from .node import Hangup, NodeRuntime, Outbound
@@ -232,13 +232,16 @@ class _SimNode:
         )
         generator = SampleGenerator(GeneratorConfig(interval_ms=spec.interval_ms, seed=spec.seed))
         self.spec = spec
-        self.runtime = NodeRuntime(
-            config,
-            generator=generator,
-            store=SampleStore(),
-            rng=random.Random(spec.seed),
-            start_ms=start_ms,
-        )
+        try:
+            self.runtime = NodeRuntime(
+                config,
+                generator=generator,
+                store=SampleStore(),
+                rng=random.Random(spec.seed),
+                start_ms=start_ms,
+            )
+        except EncodeError as exc:
+            raise ScenarioError("node %s: %s" % (spec.name, exc))
 
 
 class SimRunner:
@@ -287,7 +290,7 @@ class SimRunner:
                 self.nodes[dst].runtime.on_disconnect(conn, now_ms)
                 self._conns.pop(frozenset((src, dst)), None)
 
-    def _connection(self, a: str, b: str, create: bool = False):
+    def _connection(self, a: str, b: str, now_ms: int, create: bool = False):
         pair = frozenset((a, b))
         conn = self._conns.get(pair)
         if conn is None:
@@ -296,7 +299,7 @@ class SimRunner:
             conn = self.net.connect(a, b)
             self._conns[pair] = conn
             self._by_id[conn.conn_id] = conn
-            self.nodes[b].runtime.open_session(conn)
+            self.nodes[b].runtime.open_session(conn, now_ms)
         return conn
 
     def _execute(self, command: Command, now_ms: int) -> None:
@@ -312,10 +315,10 @@ class SimRunner:
         verb = command.verb
         peer = command.args[0]
         if verb == "handshake":
-            conn = self._connection(command.node, peer, create=True)
+            conn = self._connection(command.node, peer, now_ms, create=True)
             outputs = runtime.connect(conn, now_ms)
         else:
-            conn = self._connection(command.node, peer)
+            conn = self._connection(command.node, peer, now_ms)
             if verb == "discover":
                 outputs = runtime.request_services(conn, now_ms)
             elif verb == "peers":

@@ -8,8 +8,8 @@ non-blocking sockets that sleeps until a socket is ready or the runtime's
 next timer is due.  A peer whose unsent backlog passes MAX_BACKLOG is
 dropped.  PeerClient runs one-shot operations over a NodeRuntime of its
 own: it decodes and validates each reply once, then passes it to
-NodeRuntime.on_envelope, the dispatch step that the server's on_frame
-ends in.
+NodeRuntime.on_envelope, which runs the server's on_frame step from
+dispatch on.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class NodeServer:
         conn = _Connection(self._next_key, sock)
         self._conns[conn.key] = conn
         self._selector.register(sock, selectors.EVENT_READ, conn)
-        self.runtime.open_session(conn.key)
+        self.runtime.open_session(conn.key, time_ms())
 
     def _read(self, conn: _Connection) -> None:
         try:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from openweather import cli
 from openweather.cli import main
 from openweather.codec import UtmLocation, encode, format_timestamp
 from openweather.engine import Engine, NodeConfig
@@ -79,6 +80,16 @@ def test_no_command_prints_usage(capsys):
 def test_bad_invocations_exit_1(capsys, argv):
     assert main(argv) == 1
     assert capsys.readouterr().err != ""
+
+
+def test_run_with_an_unsendable_location_exits_1_before_listening(capsys, monkeypatch):
+    class NoServer:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a node that cannot send its header must not start")
+
+    monkeypatch.setattr(cli, "NodeServer", NoServer)
+    assert main(["run", "--location", "1 2 bad", "--port", str(free_port())]) == 1
+    assert "location zone malformed" in capsys.readouterr().err
 
 
 def test_bad_port_env_exits_1(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from openweather.codec import (
+    EncodeError,
     Envelope,
     InfoPayload,
     MetaInfo,
@@ -413,11 +414,12 @@ def test_keep_alive_boundary_is_strict():
     assert at_budget.state is SessionState.CLOSED
 
 
-def test_keep_alive_ignores_idle_and_closed():
+def test_keep_alive_closes_a_silent_idle_session_and_ignores_closed():
     engine = Engine(config())
     idle = Session(state=SessionState.IDLE, last_rx=0)
     closed = Session(state=SessionState.CLOSED, last_rx=0)
-    assert engine.keep_alive_sweep([idle, closed], now_ms=10**9) == []
+    assert engine.keep_alive_sweep([idle, closed], now_ms=10**9) == [(idle, CloseSession("keep-alive expired"))]
+    assert idle.state is SessionState.CLOSED
 
 
 def test_pending_dial_survives_sweep_at_wall_clock_now():
@@ -448,7 +450,7 @@ def test_keep_alive_sweep_matches_brute_force_oracle():
     for now in range(0, 12000, 250):
         expect_closed = set()
         for session in sessions:
-            if session.state in (SessionState.IDLE, SessionState.CLOSED):
+            if session.state is SessionState.CLOSED:
                 continue
             budget = session.remote.keep_alive_ms if session.remote else engine.config.keep_alive_ms
             if session.last_rx + budget < now:
@@ -462,6 +464,23 @@ def test_keep_alive_sweep_matches_brute_force_oracle():
 
 
 # -- headers -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "overrides, local_ip, problem",
+    [
+        ({}, "not-an-ip", "peer ip 'not-an-ip' is not a valid address"),
+        ({"location": UtmLocation(1, 2, "bad")}, None, "location zone malformed"),
+        ({"services": {"PTU": "RO", "SNOW": "RO"}}, None, "unknown service 'SNOW'"),
+        ({"services": {"PTU": "XX"}}, None, "bad service flags 'XX'"),
+    ],
+    ids=["address", "zone", "service", "flags"],
+)
+def test_engine_refuses_a_header_it_could_not_send(overrides, local_ip, problem):
+    with pytest.raises(EncodeError) as caught:
+        Engine(config(**overrides), local_ip=local_ip)
+    assert problem in str(caught.value)
+
 
 
 def test_build_metainfo_carries_config():

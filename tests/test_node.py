@@ -3,11 +3,13 @@
 import logging
 from decimal import Decimal
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import captures
-from openweather.codec import CodecError, UtmLocation, decode, encode, parse_timestamp, validate
+from openweather import node
+from openweather.codec import CodecError, EncodeError, UtmLocation, decode, encode, parse_timestamp, validate
 from openweather.engine import Engine, NodeConfig, SessionState, StateError
 from openweather.node import Hangup, NodeRuntime, Outbound
 from openweather.peers import PeerRecord
@@ -45,7 +47,7 @@ def pump(src: NodeRuntime, dst: NodeRuntime, outputs, now_ms):
         if isinstance(output, Outbound):
             assert output.frame.endswith(b"\n")
             if output.key not in seen and output.key not in dst.sessions:
-                dst.open_session(output.key)
+                dst.open_session(output.key, now_ms)
             seen.add(output.key)
             produced.extend(dst.on_frame(output.key, output.frame[:-1], now_ms))
     return produced
@@ -302,13 +304,12 @@ def test_one_catch_up_sweep_closes_what_stepwise_sweeps_would(peers, start, stal
     runtime = NodeRuntime(NodeConfig("%064x" % 1, LOCATION, 6, keep_alive_ms=3000), start_ms=start)
     budgets = {}
     for key, (state, last_rx, keep_alive) in enumerate(peers):
-        session = runtime.open_session(key)
+        session = runtime.open_session(key, start)
         session.state = state
         session.last_rx = start + last_rx
         if keep_alive is not None:
             session.remote = PeerRecord("%064x" % (key + 2), "10.0.0.1", 62535, 6, keep_alive_ms=keep_alive)
-        if state is not SessionState.IDLE:
-            budgets[key] = session.last_rx + (3000 if keep_alive is None else keep_alive)
+        budgets[key] = session.last_rx + (3000 if keep_alive is None else keep_alive)
     now = start + stall
     stepwise = set()
     for sweep_at in range(start + 1000, now + 1, 1000):
@@ -337,7 +338,8 @@ class SessionTableTracksConnections(RuleBasedStateMachine):
     Closing a connection ends it at both ends: on_disconnect closes one
     key on both runtimes, and a Hangup from one makes the transport tell
     the other.  After every step each runtime holds exactly the keys
-    opened on it and not yet closed.
+    opened on it and not yet closed.  A key accepted from a peer that never
+    speaks closes at the first sweep past the node's 2000 ms budget.
     """
 
     def __init__(self):
@@ -347,6 +349,7 @@ class SessionTableTracksConnections(RuleBasedStateMachine):
         self.bob = runtime_for(2, keep_alive_ms=2000, generator=generator)
         self.expected = {self.alice: set(), self.bob: set()}  # runtime -> keys open on it
         self.closed = set()
+        self.silent = {}  # accepted key that never carries a frame -> when it opened
         self.now = 0
         self.keys = 0
 
@@ -390,8 +393,9 @@ class SessionTableTracksConnections(RuleBasedStateMachine):
     def accept(self, first):
         runtime, _ = self._pair(first)
         key = self._new_key()
-        runtime.open_session(key)  # a peer that never says anything
+        runtime.open_session(key, self.now)  # a peer that never says anything
         self.expected[runtime].add(key)
+        self.silent[key] = self.now
 
     @precondition(lambda self: self._open_keys())
     @rule(
@@ -424,6 +428,10 @@ class SessionTableTracksConnections(RuleBasedStateMachine):
         for first in (True, False):
             src, dst = self._pair(first)
             self._carry(src, dst, src.on_tick(self.now))
+        last_sweep = self.now // 1000 * 1000
+        for key, opened in self.silent.items():
+            if last_sweep > opened + 2000:
+                assert key in self.closed
 
     @precondition(lambda self: self.closed)
     @rule(data=st.data(), first=st.booleans(), frame=st.sampled_from(_FRAMES) | st.binary(max_size=200))
@@ -471,3 +479,34 @@ def test_any_frame_on_an_established_session_is_answered_or_dispatched(frame):
         (reply,) = outputs
         assert reply.key == "conn" and reply.code == 600
         assert decode(reply.frame[:-1]).type_code == 600
+
+
+_REPLY_CODES = (101, 103, 105, 300, 301, 500, 601, 602)
+
+
+@settings(deadline=None)
+@given(frame=st.sampled_from(_FRAMES), failing=st.sampled_from(_REPLY_CODES))
+def test_a_reply_that_cannot_be_encoded_is_answered_with_one_unexpected_status(frame, failing):
+    _, bob = established_pair()
+    _, twin = established_pair()
+    for runtime in (bob, twin):
+        runtime.on_tick(1000)  # a stored sample, so a subscription starts with a type 300
+    expected = twin.on_frame("conn", frame, 5000)
+    real_encode = node.encode
+
+    def encode_or_fail(envelope):
+        if envelope.type_code == failing:
+            raise EncodeError("type %d cannot be encoded" % failing)
+        return real_encode(envelope)
+
+    held = len(bob.sessions)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(node, "encode", encode_or_fail)
+        outputs = bob.on_frame("conn", frame, 5000)
+    assert len(bob.sessions) == held
+    if any(output.code == failing for output in expected):
+        (reply,) = outputs
+        assert reply.key == "conn" and reply.code == 600
+        assert decode(reply.frame[:-1]).type_code == 600
+    else:
+        assert outputs == expected

@@ -144,3 +144,15 @@ def test_load_bootstrap_rejects_bad_lines(tmp_path, line):
     with pytest.raises(BootstrapError) as caught:
         load_bootstrap(path)
     assert "line 1" in str(caught.value)
+
+
+@pytest.mark.parametrize("address", ["not-an-ip", "10.0.0.256", "host.example"])
+def test_load_bootstrap_rejects_an_address_ipaddress_refuses(tmp_path, address):
+    path = tmp_path / "supernodes.txt"
+    path.write_text(
+        "%s 10.0.0.1 62535 6\n%s %s 62535 6\n" % ("a" * 64, "b" * 64, address),
+        encoding="ascii",
+    )
+    with pytest.raises(BootstrapError) as caught:
+        load_bootstrap(path)
+    assert str(caught.value) == "line 2: bad address %r" % address

@@ -137,6 +137,14 @@ def test_parse_rejects_bad_input(line, fragment):
     assert fragment in str(caught.value)
 
 
+def test_node_with_an_unsendable_header_is_refused_by_name():
+    text = 'node n1 location="1 2 bad"\nnode n2\nat 0 n2 handshake n1\n'
+    with pytest.raises(ScenarioError) as caught:
+        SimRunner(parse_scenario(text))
+    assert str(caught.value).startswith("node n1: ")
+    assert "location zone malformed" in str(caught.value)
+
+
 def test_error_names_the_offending_line():
     text = "node a\nnode b\n\nat 5 a handshake b b\n"
     with pytest.raises(ScenarioError) as caught:

@@ -39,16 +39,13 @@ def make_config(seed: int, port: int = 62535, services: dict | None = None) -> N
     return config
 
 
-def make_server(
-    seed: int = 1, interval_ms: int = 200, services: dict | None = None, sweep_interval_ms: int = 1000
-) -> NodeServer:
+def make_server(seed: int = 1, interval_ms: int = 200, services: dict | None = None) -> NodeServer:
     runtime = NodeRuntime(
         make_config(seed, services=services),
         generator=SampleGenerator(GeneratorConfig(interval_ms=interval_ms, seed=seed)),
         store=SampleStore(),
         local_ip="127.0.0.1",
         start_ms=time_ms(),
-        sweep_interval_ms=sweep_interval_ms,
     )
     # port 0 lets the OS pick a free one
     return NodeServer(runtime, port=0)
@@ -363,6 +360,48 @@ def test_a_silent_client_is_hung_up_and_its_session_dropped():
         server.stop()
 
 
+def test_a_client_that_never_handshakes_is_hung_up_on_the_nodes_budget():
+    server = make_server(seed=19)
+    server.runtime.config.keep_alive_ms = 1000
+    server.start()
+    raw = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+    try:
+        started = time.monotonic()
+        try:
+            assert raw.recv(4096) == b""  # never a byte, then the end of the stream
+        except ConnectionResetError:
+            pass
+        waited = time.monotonic() - started
+        # the first whole-second sweep past the 1 s budget, with room for scheduling
+        assert 0.9 < waited < 1.0 + 1.0 + 0.3
+        assert len(server.runtime.sessions) == 0
+    finally:
+        raw.close()
+        server.stop()
+
+
+def test_a_reply_that_cannot_be_encoded_draws_600_and_the_node_serves_on():
+    server = make_server(seed=20)
+    unsendable = PeerRecord(node_id=random_node_id(b"\x1e" * 32), peer_ip="not-an-ip", port=62535, bandwidth=3)
+    server.runtime.engine.peer_table.upsert(unsendable)
+    server.start()
+    first = make_client(server.port, seed=21)
+    second = None
+    try:
+        first.handshake()
+        with pytest.raises(ProtocolFault) as caught:
+            first.peers()
+        assert caught.value.code == 600
+        second = make_client(server.port, seed=22)
+        assert int(second.handshake().type_code) == ProtocolCode.HANDSHAKE_S
+        assert server._thread.is_alive()
+    finally:
+        first.close()
+        if second is not None:
+            second.close()
+        server.stop()
+
+
 # -- one event loop ------------------------------------------------------------
 
 
@@ -383,8 +422,9 @@ def test_open_connections_add_no_threads():
         server.stop()
 
 
-def test_stop_returns_at_once_while_the_next_timer_is_far_away():
-    server = make_server(seed=13, interval_ms=60_000, sweep_interval_ms=60_000)
+def test_stop_returns_at_once_while_the_next_timer_is_far_away(monkeypatch):
+    monkeypatch.setattr(node, "SWEEP_INTERVAL_MS", 60_000)
+    server = make_server(seed=13, interval_ms=60_000)
     server.start()
     port = server.port
     client = make_client(port)
