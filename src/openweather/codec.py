@@ -18,8 +18,13 @@ between them.  At import the encoder compiles that part once into format
 strings, from MEASUREMENTS, the fixed MetaInfo and peer-entry keys and the
 envelope's member order, so encoding a message only fills the slots: a
 string through the stdlib's JSON string escaper, an integer as its digits.
-Every envelope is validated before it is encoded.  Decoding parses with
-one shared JSON decoder and walks the tree once, driven by the same tables.
+Two memos keep what a node sends again and again: the last clean header
+encoded, one (MetaInfo, text) pair, and up to 1,024 clean peer-listing
+members, node id -> (PeerEntry, text), cleared when full.  For those exact
+objects validate skips their checks and encode skips rendering them; it
+still runs validate on every envelope before encoding it.  Decoding parses
+with one shared JSON decoder and walks the tree once, driven by the same
+tables.
 
 The decoder is liberal: arbitrary whitespace and key order, numeric fields
 quoted as strings, timestamps with or without the trailing "Z", and the
@@ -413,12 +418,24 @@ def _is_timestamp(value) -> bool:
     return _timestamp_check(value)
 
 
+# The memos of the module docstring.  A node's header changes once a second
+# and a listing member when its peer does.  Objects are matched by identity,
+# never by ==: an equal object may hold True where 1 was checked.  Each memo
+# slot is one tuple stored in a single assignment, so two threads encoding at
+# once never read the halves of two different pairs.  Only exact types go
+# in, as only they are sure not to change or to render otherwise.
+_MEMBERS_MAX = 1024
+_header = (object(), "")  # (MetaInfo, its rendered text); the first slot matches no header
+_members: dict = {}  # exact-str node id -> (PeerEntry, its rendered listing member)
+
+
 def validate(envelope: Envelope) -> ValidationReport:
     """Check every invariant; returns a report rather than raising."""
     problems = []
     if not isinstance(envelope.type_code, int) or not is_registered(envelope.type_code):
         problems.append("unknown type code %r" % (envelope.type_code,))
-    problems.extend(_meta_problems(envelope.meta))
+    if envelope.meta is not _header[0]:
+        problems.extend(_meta_problems(envelope.meta))
     payloads = [p for p in (envelope.data, envelope.info, envelope.retrieve) if p is not None]
     if len(payloads) > 1:
         problems.append("more than one payload present")
@@ -519,7 +536,12 @@ def _info_problems(info: InfoPayload) -> list:
     if info.peers is not None:
         if len(info.peers) > 100:
             problems.append("peer listing above 100 entries")
+        members = _members
         for node_id, entry in info.peers.items():
+            if type(node_id) is str:
+                known = members.get(node_id)
+                if known is not None and known[0] is entry:
+                    continue
             if not isinstance(node_id, str) or not _NODE_ID_RE.match(node_id):
                 problems.append("peer id %r is not 64 lowercase hex characters" % (node_id,))
             if not isinstance(entry, PeerEntry):
@@ -661,10 +683,32 @@ def _data_text(data: WeatherData) -> str:
     return "{ %s }" % ", ".join(members) if members else "{ }"
 
 
-def _info_text(info: InfoPayload) -> str:
+def _listing_text(peers: dict, clean: bool) -> str:
+    # what _object(peers, _peer_text) renders, taking each member the memo
+    # holds for that exact entry; a clean listing's other members are kept
+    members = _members
+    texts = []
+    for node_id in sorted(peers):
+        entry = peers[node_id]
+        exact = type(node_id) is str
+        if exact:
+            known = members.get(node_id)
+            if known is not None and known[0] is entry:
+                texts.append(known[1])
+                continue
+        text = "%s : %s" % (_key(node_id), _peer_text(entry))
+        if clean and exact and _exact(entry, PeerEntry, _PEER_KEYS):
+            if len(members) >= _MEMBERS_MAX:
+                members.clear()
+            members[node_id] = (entry, text)
+        texts.append(text)
+    return "{ %s }" % ", ".join(texts) if texts else "{ }"
+
+
+def _info_text(info: InfoPayload, clean: bool) -> str:
     if info.services is not None:
         return '{ "Services" : %s }' % _object(info.services, _text)
-    return '{ "Peers" : %s }' % _object(info.peers, _peer_text)
+    return '{ "Peers" : %s }' % _listing_text(info.peers, clean)
 
 
 def _retrieve_text(retrieve: RetrieveRequest) -> str:
@@ -672,12 +716,15 @@ def _retrieve_text(retrieve: RetrieveRequest) -> str:
     return _RETRIEVE_FORMAT % ("[ %s ]" % services if services else "[ ]", _text(retrieve.timestamp))
 
 
-def _payload_text(envelope: Envelope) -> tuple:
-    """The payload member as (wire key, canonical text), or (None, None) for header-only."""
+def _payload_text(envelope: Envelope, clean: bool = False) -> tuple:
+    """The payload member as (wire key, canonical text), or (None, None) for header-only.
+
+    clean says that validate passed the envelope, so its listing members may be memoised.
+    """
     if envelope.data is not None:
         return "Data", _data_text(envelope.data)
     if envelope.info is not None:
-        return "Info", _info_text(envelope.info)
+        return "Info", _info_text(envelope.info, clean)
     if envelope.retrieve is not None:
         return "Retrieve", _retrieve_text(envelope.retrieve)
     return None, None
@@ -691,10 +738,30 @@ def encode(envelope: Envelope) -> bytes:
     # the payload renders first: "Data" and "Info" sort before "MetaInfo", so a
     # value that cannot be encoded is reported in wire order ("Retrieve" sorts
     # after it, but holds nothing that fails once validated)
-    key, payload = _payload_text(envelope)
-    parts = {"payload": payload, "meta": _meta_text(envelope.meta), "type": _text(envelope.type_code)}
+    key, payload = _payload_text(envelope, clean=True)
+    meta, header = envelope.meta, _header
+    if meta is header[0]:
+        meta_text = header[1]
+    else:
+        meta_text = _meta_text(meta)
+        _keep_header(meta, meta_text)
+    parts = {"payload": payload, "meta": meta_text, "type": _text(envelope.type_code)}
     form, slots = _ENVELOPE_FORMATS[key]
     return (form % tuple([parts[slot] for slot in slots])).encode("utf-8")
+
+
+def _exact(value, cls, keys) -> bool:
+    """value is a cls whose attributes named in keys hold exactly their wire types."""
+    return type(value) is cls and all(type(getattr(value, attr)) is kind for _, attr, kind in keys)
+
+
+_LOCATION_KEYS = ((None, "northing", int), (None, "easting", int), (None, "zone", str))
+
+
+def _keep_header(meta: MetaInfo, text: str) -> None:
+    global _header
+    if _exact(meta, MetaInfo, _META_KEYS) and _exact(meta.location, UtmLocation, _LOCATION_KEYS):
+        _header = (meta, text)
 
 
 def payload_fragment(envelope: Envelope) -> str | None:

@@ -20,7 +20,6 @@ callers that keep sessions themselves ever see the Closed state.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import random
 from dataclasses import dataclass, field
@@ -114,12 +113,16 @@ class NodeConfig:
 
 def build_metainfo(config: NodeConfig, local_ip: str, now_ms: int) -> MetaInfo:
     """Header for an outbound message assembled at now_ms."""
+    return _metainfo(config, local_ip, format_timestamp(now_ms))
+
+
+def _metainfo(config: NodeConfig, local_ip: str, timestamp: str) -> MetaInfo:
     return MetaInfo(
         node_id=config.node_id,
         peer_ip=local_ip,
         location=config.location,
         bandwidth=config.bandwidth,
-        timestamp=format_timestamp(now_ms),
+        timestamp=timestamp,
         port=config.port,
         update_interval_ms=config.update_interval_ms,
         peers_requested=config.peers_requested,
@@ -166,6 +169,8 @@ class Engine:
         self.sample_store = sample_store
         self.callbacks = callbacks if callbacks is not None else Callbacks()
         self.rng = rng if rng is not None else random.Random()
+        self._meta: MetaInfo | None = None  # the last header _header built, and its second
+        self._meta_second = None
         # refuse now what this node could never send: its header, and its catalog if it has one
         info = InfoPayload(services=dict(config.services)) if config.services else None
         own = self._envelope(ProtocolCode.SERVICES_AVAILABLE_R if info else ProtocolCode.HANDSHAKE, 0, info=info)
@@ -175,10 +180,37 @@ class Engine:
 
     # -- message builders ---------------------------------------------------
 
+    def _header(self, now_ms: int) -> MetaInfo:
+        """This node's header at now_ms.
+
+        Only its second, local_ip and the advertised config fields go into
+        a header, so the last one built is reused while all of them are the
+        same objects as when it was built.  The config is mutable, and an
+        equal value may still differ on the wire (True == 1), so the fields
+        are compared by identity.
+        """
+        config, meta = self.config, self._meta
+        second = now_ms // 1000
+        if (
+            second != self._meta_second
+            or meta.peer_ip is not self.local_ip
+            or meta.node_id is not config.node_id
+            or meta.location is not config.location
+            or meta.bandwidth is not config.bandwidth
+            or meta.port is not config.port
+            or meta.update_interval_ms is not config.update_interval_ms
+            or meta.peers_requested is not config.peers_requested
+            or meta.keep_alive_ms is not config.keep_alive_ms
+        ):
+            meta = self._meta = build_metainfo(config, self.local_ip, now_ms)
+            self._meta_second = second
+        return meta
+
     def _envelope(self, code, now_ms, *, data=None, info=None, retrieve=None, timestamp=None):
-        meta = build_metainfo(self.config, self.local_ip, now_ms)
-        if timestamp is not None:
-            meta = dataclasses.replace(meta, timestamp=timestamp)
+        if timestamp is None:
+            meta = self._header(now_ms)
+        else:  # stamped with another moment than now
+            meta = _metainfo(self.config, self.local_ip, timestamp)
         return Envelope(int(code), meta, data=data, info=info, retrieve=retrieve)
 
     def status_message(self, code, now_ms: int) -> Envelope:

@@ -1,15 +1,19 @@
 """Peer bookkeeping: bandwidth classes, the peer table, super-node lists.
 
 The table is a bounded map from node id to the freshest known record.
+It keeps its ids in sorted order as they arrive, so a listing visits the
+candidates in that order without sorting them per request, and each record
+keeps the PeerEntry it lists until one of the listed fields changes.
 Single writer assumed; time is integer epoch milliseconds so the same code
 runs under the real clock and the virtual one.
 """
 
 from __future__ import annotations
 
+import bisect
 import ipaddress
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .codec import DEFAULT_KEEP_ALIVE_MS, PeerEntry, UtmLocation
 from .identity import is_node_id
@@ -53,9 +57,24 @@ class PeerRecord:
     keep_alive_ms: int = DEFAULT_KEEP_ALIVE_MS
     last_rx: int = 0  # epoch ms of the last message from (or about) this peer
     super_node: bool = False
+    _entry: PeerEntry | None = field(default=None, init=False, repr=False, compare=False)
 
     def listing_entry(self) -> PeerEntry:
-        return PeerEntry(peer_ip=self.peer_ip, port=self.port, bandwidth=self.bandwidth)
+        """This peer's row of a listing: the same object while its fields are the same objects."""
+        entry = self._entry
+        if (
+            entry is None
+            or entry.peer_ip is not self.peer_ip
+            or entry.port is not self.port
+            or entry.bandwidth is not self.bandwidth
+        ):
+            entry = self._entry = PeerEntry(peer_ip=self.peer_ip, port=self.port, bandwidth=self.bandwidth)
+        return entry
+
+
+def _same(old, new) -> bool:
+    # equal and of one type: True == 1, yet a listing must not carry the one for the other
+    return type(old) is type(new) and old == new
 
 
 class PeerTable:
@@ -66,6 +85,7 @@ class PeerTable:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._records: dict[str, PeerRecord] = {}
+        self._ids: list[str] = []  # the keys of _records, sorted
 
     def __len__(self) -> int:
         return len(self._records)
@@ -84,11 +104,16 @@ class PeerTable:
                 raise TableFullError(
                     "peer table at capacity (%d), dropped %s" % (self.capacity, record.node_id)
                 )
+            bisect.insort(self._ids, record.node_id)
             self._records[record.node_id] = record
             return record
-        current.peer_ip = record.peer_ip
-        current.port = record.port
-        current.bandwidth = record.bandwidth
+        # a listed field keeps its object while the value stays, so the record keeps its listing entry
+        if not _same(current.peer_ip, record.peer_ip):
+            current.peer_ip = record.peer_ip
+        if not _same(current.port, record.port):
+            current.port = record.port
+        if not _same(current.bandwidth, record.bandwidth):
+            current.bandwidth = record.bandwidth
         if record.location is not None:
             current.location = record.location
         current.keep_alive_ms = record.keep_alive_ms
@@ -105,7 +130,8 @@ class PeerTable:
         if n < 0:
             raise ValueError("cannot select a negative number of peers")
         skip = set(exclude)
-        candidates = [self._records[k] for k in sorted(self._records) if k not in skip]
+        records = self._records
+        candidates = [records[k] for k in self._ids if k not in skip]
         if n >= len(candidates):
             return candidates
         return rng.sample(candidates, n)
@@ -119,10 +145,12 @@ class PeerTable:
                 continue
             if record.last_rx + record.keep_alive_ms < now_ms:
                 dropped.append(self._records.pop(node_id))
+        if dropped:
+            self._ids = [k for k in self._ids if k in self._records]
         return dropped
 
     def snapshot(self) -> list[PeerRecord]:
-        return [self._records[k] for k in sorted(self._records)]
+        return [self._records[k] for k in self._ids]
 
 
 def load_bootstrap(path) -> list[PeerRecord]:

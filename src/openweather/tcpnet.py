@@ -211,9 +211,12 @@ class PeerClient:
     """Blocking client: handshake once, then run operations in turn."""
 
     def __init__(self, host: str, port: int, config: NodeConfig, timeout_s: float = 10.0):
-        self.sock = socket.create_connection((host, port), timeout=timeout_s)
-        self.runtime = NodeRuntime(config, local_ip=self.sock.getsockname()[0])
+        # the runtime refuses a header it could not send before anything connects;
+        # once connected, the header carries the address the socket got
+        self.runtime = NodeRuntime(config)
         self.engine = self.runtime.engine
+        self.sock = socket.create_connection((host, port), timeout=timeout_s)
+        self.engine.local_ip = self.sock.getsockname()[0]
         self._remote = (host, port)  # also the session's key in the runtime
         self._splitter = FrameSplitter()
         self._inbox: list = []

@@ -92,6 +92,25 @@ def test_run_with_an_unsendable_location_exits_1_before_listening(capsys, monkey
     assert "location zone malformed" in capsys.readouterr().err
 
 
+def test_handshake_with_an_unsendable_location_exits_1_before_connecting(capsys):
+    argv = ["handshake", "127.0.0.1", "--location", "1 2 bad", "--keep-alive", "2000", "--port"]
+    # nothing listens on the port: the header is refused before a connection is tried
+    assert main(argv + [str(free_port())]) == 1
+    assert "location zone malformed" in capsys.readouterr().err
+    # a live node: the refused handshake opens no connection, so a good one is its first
+    server = start_server()
+    opened = []
+    open_session = server.runtime.open_session
+    server.runtime.open_session = lambda key, now_ms: opened.append(key) or open_session(key, now_ms)
+    try:
+        assert main(argv + [str(server.port)]) == 1
+        assert "location zone malformed" in capsys.readouterr().err
+        assert main(["handshake", "127.0.0.1", "--keep-alive", "2000", "--port", str(server.port)]) == 0
+        assert len(opened) == 1
+    finally:
+        server.stop()
+
+
 def test_bad_port_env_exits_1(capsys, monkeypatch):
     monkeypatch.setenv("OWP_PORT", "sixty")
     assert main(["handshake", "127.0.0.1"]) == 1

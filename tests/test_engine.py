@@ -1,8 +1,10 @@
 """Session state machine: dispatch, serving, requester ops, keep-alive."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openweather.codec import (
     EncodeError,
@@ -490,3 +492,63 @@ def test_build_metainfo_carries_config():
     assert header.timestamp == "2011-07-20T16:51:29Z"
     assert header.port == 62535
     assert validate(Envelope(type_code=100, meta=header)).ok
+
+
+def typed(meta: MetaInfo) -> tuple:
+    """Every header field with its exact type: a header that carries True differs from one that carries 1."""
+    return tuple((type(value), value) for value in dataclasses.astuple(meta))
+
+
+# advertised NodeConfig field -> new values to set between replies: another
+# value, an equal value of another type, and the same value in a new object
+CHANGES = {
+    "node_id": ("%064x" % 9, "".join(["%064x" % 1])),
+    "location": (UtmLocation(1, 2, "3C"), UtmLocation(6672224, 385565, "35V")),
+    "bandwidth": (2, True, 1, False),
+    "port": (1, True, 62536, 62535.0),
+    "update_interval_ms": (5000, 120000.0, int("120000")),
+    "peers_requested": (7, 20.0, int("20")),
+    "keep_alive_ms": (9000, int("120000"), 120000.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("advance"), st.integers(0, 2500)),
+            st.tuples(st.just("local_ip"), st.sampled_from(("10.0.0.1", "::1", "".join(["172.21.25.11"])))),
+            st.sampled_from(sorted(CHANGES)).flatmap(lambda name: st.tuples(st.just(name), st.sampled_from(CHANGES[name]))),
+        ),
+        max_size=30,
+    )
+)
+def test_reply_headers_follow_the_second_the_address_and_every_advertised_field(steps):
+    engine = Engine(config())
+    now = 1311180689000
+    for name, value in steps:
+        if name == "advance":
+            now += value
+        elif name == "local_ip":
+            engine.local_ip = value
+        else:
+            setattr(engine.config, name, value)
+        header = engine.status_message(ProtocolCode.HANDSHAKE_S, now).meta
+        assert typed(header) == typed(build_metainfo(engine.config, engine.local_ip, now))
+
+
+def test_a_reply_reuses_its_header_within_a_second():
+    engine = Engine(config())
+    first = engine.status_message(101, 1311180689000).meta
+    assert engine.status_message(600, 1311180689999).meta is first
+    assert engine.status_message(101, 1311180690000).meta.timestamp == "2011-07-20T16:51:30Z"
+
+
+@pytest.mark.parametrize("asked", ["1970-01-01T00:00:06Z", "1970-01-01T00:00:06"])
+def test_fetch_reply_header_is_the_replaced_header(asked):
+    engine, session = on_demand_engine()
+    engine.config.port = True  # mistyped: the header must carry it as it is
+    (send,) = engine.handle_message(session, query(asked), now_ms=20000)
+    before = dataclasses.replace(build_metainfo(engine.config, engine.local_ip, 20000), timestamp=asked)
+    assert typed(send.envelope.meta) == typed(before)
+    assert send.envelope.meta.timestamp == "1970-01-01T00:00:06Z"

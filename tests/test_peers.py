@@ -1,9 +1,13 @@
 """Peer table: bandwidth classes, merge semantics, expiry, bootstrap files."""
 
 import random
+from dataclasses import astuple
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from openweather.codec import PeerEntry
 from openweather.peers import (
     BANDWIDTH_CLASS_BPS,
     BootstrapError,
@@ -156,3 +160,87 @@ def test_load_bootstrap_rejects_an_address_ipaddress_refuses(tmp_path, address):
     with pytest.raises(BootstrapError) as caught:
         load_bootstrap(path)
     assert str(caught.value) == "line 2: bad address %r" % address
+
+
+# -- the table against a plain model -----------------------------------------------
+
+
+IDS = ["%064x" % n for n in (3, 1, 4, 15, 9, 2, 6, 5)]
+ADDRESSES = ("10.0.0.1", "10.0.0.2", "::1")
+PORTS = (1, True, 2, 62535, 65535)  # True == 1, yet it must not be listed as 1
+BANDWIDTHS = (0, 1, True, 6, 1_000_000)
+
+
+def exact(value) -> tuple:
+    return type(value), value
+
+
+class PeerTableMachine(RuleBasedStateMachine):
+    """Upserts, expiry and listings against a dict of the fields each upsert set."""
+
+    def __init__(self):
+        super().__init__()
+        self.table = PeerTable(capacity=6)
+        self.model = {}  # node id -> the fields the table should hold
+
+    @rule(node_id=st.sampled_from(IDS), ip=st.sampled_from(ADDRESSES), port=st.sampled_from(PORTS),
+          bandwidth=st.sampled_from(BANDWIDTHS), last_rx=st.integers(0, 5000), super_node=st.booleans())
+    def new_record(self, node_id, ip, port, bandwidth, last_rx, super_node):
+        fields = dict(peer_ip=ip, port=port, bandwidth=bandwidth, last_rx=last_rx, super_node=super_node)
+        if node_id in self.model:
+            return
+        if len(self.model) >= 6:
+            with pytest.raises(TableFullError):
+                self.table.upsert(PeerRecord(node_id=node_id, keep_alive_ms=1000, **fields))
+            return
+        self.table.upsert(PeerRecord(node_id=node_id, keep_alive_ms=1000, **fields))
+        self.model[node_id] = fields
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), ip=st.sampled_from(ADDRESSES), port=st.sampled_from(PORTS),
+          bandwidth=st.sampled_from(BANDWIDTHS), last_rx=st.integers(0, 5000))
+    def change(self, data, ip, port, bandwidth, last_rx):
+        node_id = data.draw(st.sampled_from(sorted(self.model)))
+        # the same text in a new object, as a decoded frame carries it
+        self.table.upsert(PeerRecord(node_id, "".join([ip]), port, bandwidth, keep_alive_ms=1000, last_rx=last_rx))
+        fields = self.model[node_id]
+        fields.update(peer_ip=ip, port=port, bandwidth=bandwidth, last_rx=max(fields["last_rx"], last_rx))
+
+    @rule(now=st.integers(0, 7000))
+    def expire(self, now):
+        dropped = self.table.expire_idle(now)
+        gone = sorted(k for k, f in self.model.items() if not f["super_node"] and f["last_rx"] + 1000 < now)
+        assert sorted(record.node_id for record in dropped) == gone
+        for node_id in gone:
+            del self.model[node_id]
+
+    @rule(n=st.integers(0, 8), seed=st.integers(0, 2**32), exclude=st.sets(st.sampled_from(IDS), max_size=3))
+    def listing(self, n, seed, exclude):
+        picked = self.table.select_peers(n, random.Random(seed), exclude=exclude)
+        candidates = [self.table.get(k) for k in sorted(self.model) if k not in exclude]
+        expected = candidates if n >= len(candidates) else random.Random(seed).sample(candidates, n)
+        assert [record.node_id for record in picked] == [record.node_id for record in expected]
+
+    @invariant()
+    def records_match_the_model(self):
+        assert [record.node_id for record in self.table.snapshot()] == sorted(self.model)
+        for node_id, fields in self.model.items():
+            record = self.table.get(node_id)
+            for name in ("peer_ip", "port", "bandwidth", "last_rx"):
+                assert exact(getattr(record, name)) == exact(fields[name])
+            entry = record.listing_entry()
+            fresh = PeerEntry(fields["peer_ip"], fields["port"], fields["bandwidth"])
+            assert [exact(v) for v in astuple(entry)] == [exact(v) for v in astuple(fresh)]
+
+
+TestPeerTableMachine = PeerTableMachine.TestCase
+TestPeerTableMachine.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+
+
+def test_a_record_keeps_its_listing_entry_until_a_listed_field_changes():
+    table = PeerTable()
+    kept = table.upsert(record(1, port=62535)).listing_entry()
+    table.upsert(record(1, port=int("62535"), last_rx=5, keep_alive_ms=9))
+    assert table.get("%064x" % 1).listing_entry() is kept
+    table.upsert(record(1, port=62536))
+    assert table.get("%064x" % 1).listing_entry().port == 62536
