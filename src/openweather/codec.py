@@ -18,10 +18,10 @@ between them.  At import the encoder compiles that part once into format
 strings, from MEASUREMENTS, the fixed MetaInfo and peer-entry keys and the
 envelope's member order, so encoding a message only fills the slots: a
 string through the stdlib's JSON string escaper, an integer as its digits.
-Two memos keep what a node sends again and again: the last clean header
-encoded, one (MetaInfo, text) pair, and up to 1,024 clean peer-listing
-members, node id -> (PeerEntry, text), cleared when full.  For those exact
-objects validate skips their checks and encode skips rendering them; it
+One memo keeps what a node sends again and again in its peer listings: up
+to 1,024 clean listing members, node id -> (PeerEntry, text), cleared when
+full.  For those exact entries validate skips their checks and encode skips
+rendering them; every header is checked and rendered each time, and encode
 still runs validate on every envelope before encoding it.  Decoding parses
 with one shared JSON decoder and walks the tree once, driven by the same
 tables.
@@ -50,6 +50,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
 from json.encoder import encode_basestring as _quote  # the C escaper of json.dumps(ensure_ascii=False)
+
+from .identity import is_node_id
 
 PROTOCOL_VERSION = "OpenWeather/1.0"
 DEFAULT_PORT = 62535
@@ -124,10 +126,11 @@ class EncodeError(CodecError):
     """The envelope violates an invariant and cannot be emitted."""
 
 
-_TIMESTAMP_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z?)$")
-_NODE_ID_RE = re.compile(r"^[0-9a-f]{64}$")
-_ZONE_RE = re.compile(r"^\d{1,2}[A-Z]$")
-_VERSION_RE = re.compile(r"^OpenWeather/\d+\.\d+$")
+# matched with fullmatch and over ASCII digits only: "$" also matches before a
+# final newline, and "\d" matches any Unicode digit
+_TIMESTAMP_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})(Z?)")
+_ZONE_RE = re.compile(r"[0-9]{1,2}[A-Z]")
+_VERSION_RE = re.compile(r"OpenWeather/[0-9]+\.[0-9]+")
 
 
 def format_timestamp(epoch_ms: int) -> str:
@@ -138,7 +141,7 @@ def format_timestamp(epoch_ms: int) -> str:
 
 def parse_timestamp(text: str) -> int:
     """Parse an RFC 3339 UTC timestamp (trailing Z optional) to epoch ms."""
-    found = _TIMESTAMP_RE.match(text)
+    found = _TIMESTAMP_RE.fullmatch(text)
     if found is None:
         raise ValueError("malformed timestamp %r" % (text,))
     year, month, day, hour, minute, second = (int(g) for g in found.groups()[:6])
@@ -149,7 +152,7 @@ def parse_timestamp(text: str) -> int:
 def _normalized_timestamp(text: str) -> str:
     # store the emitted form (with Z) whenever the text parses at all
     if isinstance(text, str):
-        found = _TIMESTAMP_RE.match(text)
+        found = _TIMESTAMP_RE.fullmatch(text)
         if found is not None and not found.group(7):
             return text + "Z"
     return text
@@ -171,11 +174,13 @@ class UtmLocation:
         parts = text.split()
         if len(parts) != 3:
             raise ValueError("location needs three tokens: %r" % (text,))
-        try:
-            northing, easting = int(parts[0], 10), int(parts[1], 10)
-        except ValueError:
-            raise ValueError("location coordinates must be integers: %r" % (text,))
-        return cls(northing, easting, parts[2])
+        northing, easting, zone = parts
+        if northing.isascii() and easting.isascii():  # int() also reads non-ASCII digits
+            try:
+                return cls(int(northing, 10), int(easting, 10), zone)
+            except ValueError:
+                pass
+        raise ValueError("location coordinates must be integers: %r" % (text,))
 
 
 @dataclass(frozen=True)
@@ -418,14 +423,13 @@ def _is_timestamp(value) -> bool:
     return _timestamp_check(value)
 
 
-# The memos of the module docstring.  A node's header changes once a second
-# and a listing member when its peer does.  Objects are matched by identity,
-# never by ==: an equal object may hold True where 1 was checked.  Each memo
-# slot is one tuple stored in a single assignment, so two threads encoding at
-# once never read the halves of two different pairs.  Only exact types go
-# in, as only they are sure not to change or to render otherwise.
+# The memo of the module docstring.  A listing member changes only when its
+# peer does.  Entries are matched by identity, never by ==: an equal entry may
+# hold True where 1 was checked.  Each member is one tuple stored in a single
+# assignment, so two threads encoding at once never read the halves of two
+# different pairs.  Only exact types go in, as only they are sure not to
+# change or to render otherwise.
 _MEMBERS_MAX = 1024
-_header = (object(), "")  # (MetaInfo, its rendered text); the first slot matches no header
 _members: dict = {}  # exact-str node id -> (PeerEntry, its rendered listing member)
 
 
@@ -434,8 +438,7 @@ def validate(envelope: Envelope) -> ValidationReport:
     problems = []
     if not isinstance(envelope.type_code, int) or not is_registered(envelope.type_code):
         problems.append("unknown type code %r" % (envelope.type_code,))
-    if envelope.meta is not _header[0]:
-        problems.extend(_meta_problems(envelope.meta))
+    problems.extend(_meta_problems(envelope.meta))
     payloads = [p for p in (envelope.data, envelope.info, envelope.retrieve) if p is not None]
     if len(payloads) > 1:
         problems.append("more than one payload present")
@@ -474,7 +477,7 @@ def _payload_rule_problems(envelope: Envelope) -> list:
 
 def _meta_problems(meta: MetaInfo) -> list:
     problems = []
-    if not isinstance(meta.node_id, str) or not _NODE_ID_RE.match(meta.node_id):
+    if not is_node_id(meta.node_id):
         problems.append("node id is not 64 lowercase hex characters")
     if not _is_address(meta.peer_ip):
         problems.append("peer ip %r is not a valid address" % (meta.peer_ip,))
@@ -487,7 +490,7 @@ def _meta_problems(meta: MetaInfo) -> list:
             problems.append("location northing negative")
         if not isinstance(meta.location.easting, int) or meta.location.easting < 0:
             problems.append("location easting negative")
-        if not isinstance(meta.location.zone, str) or not _ZONE_RE.match(meta.location.zone):
+        if not isinstance(meta.location.zone, str) or not _ZONE_RE.fullmatch(meta.location.zone):
             problems.append("location zone malformed")
     if not isinstance(meta.update_interval_ms, int) or meta.update_interval_ms <= 0:
         problems.append("update interval not positive")
@@ -501,7 +504,7 @@ def _meta_problems(meta: MetaInfo) -> list:
         problems.append("bandwidth below 0")
     if not _is_timestamp(meta.timestamp):
         problems.append("timestamp malformed")
-    if not isinstance(meta.version, str) or not _VERSION_RE.match(meta.version):
+    if not isinstance(meta.version, str) or not _VERSION_RE.fullmatch(meta.version):
         problems.append("version malformed")
     return problems
 
@@ -542,7 +545,7 @@ def _info_problems(info: InfoPayload) -> list:
                 known = members.get(node_id)
                 if known is not None and known[0] is entry:
                     continue
-            if not isinstance(node_id, str) or not _NODE_ID_RE.match(node_id):
+            if not is_node_id(node_id):
                 problems.append("peer id %r is not 64 lowercase hex characters" % (node_id,))
             if not isinstance(entry, PeerEntry):
                 problems.append("peer entry for %r malformed" % (node_id,))
@@ -739,13 +742,7 @@ def encode(envelope: Envelope) -> bytes:
     # value that cannot be encoded is reported in wire order ("Retrieve" sorts
     # after it, but holds nothing that fails once validated)
     key, payload = _payload_text(envelope, clean=True)
-    meta, header = envelope.meta, _header
-    if meta is header[0]:
-        meta_text = header[1]
-    else:
-        meta_text = _meta_text(meta)
-        _keep_header(meta, meta_text)
-    parts = {"payload": payload, "meta": meta_text, "type": _text(envelope.type_code)}
+    parts = {"payload": payload, "meta": _meta_text(envelope.meta), "type": _text(envelope.type_code)}
     form, slots = _ENVELOPE_FORMATS[key]
     return (form % tuple([parts[slot] for slot in slots])).encode("utf-8")
 
@@ -753,15 +750,6 @@ def encode(envelope: Envelope) -> bytes:
 def _exact(value, cls, keys) -> bool:
     """value is a cls whose attributes named in keys hold exactly their wire types."""
     return type(value) is cls and all(type(getattr(value, attr)) is kind for _, attr, kind in keys)
-
-
-_LOCATION_KEYS = ((None, "northing", int), (None, "easting", int), (None, "zone", str))
-
-
-def _keep_header(meta: MetaInfo, text: str) -> None:
-    global _header
-    if _exact(meta, MetaInfo, _META_KEYS) and _exact(meta.location, UtmLocation, _LOCATION_KEYS):
-        _header = (meta, text)
 
 
 def payload_fragment(envelope: Envelope) -> str | None:

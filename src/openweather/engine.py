@@ -3,10 +3,11 @@
 The engine consumes decoded, validated envelopes and answers with a list
 of actions for the caller to carry out: send a message, close the session,
 start or stop streaming to the peer.  A message that needs none of these
-(a receipt, a status) answers with an empty list.  The engine never
-touches a socket or a clock itself.  Time arrives as integer epoch
-milliseconds, so the same engine runs under the real clock and the
-simulator's virtual one.
+(a receipt, a status) answers with an empty list; of those, only a peer
+listing changes anything, by merging into the peer table.  The engine has
+no notification hooks, and it never touches a socket or a clock itself.
+Time arrives as integer epoch milliseconds, so the same engine runs under
+the real clock and the simulator's virtual one.
 
 Session states: Idle (fresh connection), HandshakeSent (we opened),
 Established, Streaming (we are serving a real-time feed), Closed.
@@ -59,6 +60,17 @@ class SessionState(Enum):
 
 _ACTIVE = (SessionState.ESTABLISHED, SessionState.STREAMING)
 _ANSWERABLE = (SessionState.HANDSHAKE_SENT,) + _ACTIVE
+# replies and statuses that complete an exchange: an active session takes them
+# in silence, as no receipt goes back
+_RECEIPTS = frozenset((
+    ProtocolCode.SERVICES_AVAILABLE_R,
+    ProtocolCode.SERVICES_AVAILABLE_S,
+    ProtocolCode.LIST_PEERS_S,
+    ProtocolCode.REAL_TIME_DATA_R,
+    ProtocolCode.ON_DEMAND_DATA_R,
+    ProtocolCode.REAL_TIME_DATA_S,
+    ProtocolCode.ON_DEMAND_DATA_S,
+))
 
 
 @dataclass
@@ -134,22 +146,6 @@ class StateError(RuntimeError):
     """The requested operation is not allowed in the session's state."""
 
 
-class Callbacks:
-    """Application notification hooks; override what you care about."""
-
-    def on_service_catalog(self, session: Session, services: dict) -> None:
-        pass
-
-    def on_weather_data(self, session: Session, envelope: Envelope, on_demand: bool) -> None:
-        pass
-
-    def on_peer_list(self, session: Session, peers: dict) -> None:
-        pass
-
-    def on_error(self, session: Session, code: int) -> None:
-        pass
-
-
 class Engine:
     """Message dispatch and requester operations for one node."""
 
@@ -160,14 +156,12 @@ class Engine:
         local_ip: str | None = None,
         peer_table: PeerTable | None = None,
         sample_store: SampleStore | None = None,
-        callbacks: Callbacks | None = None,
         rng: random.Random | None = None,
     ):
         self.config = config
         self.local_ip = local_ip if local_ip is not None else config.advertise_ip
         self.peer_table = peer_table if peer_table is not None else PeerTable()
         self.sample_store = sample_store
-        self.callbacks = callbacks if callbacks is not None else Callbacks()
         self.rng = rng if rng is not None else random.Random()
         self._meta: MetaInfo | None = None  # the last header _header built, and its second
         self._meta_second = None
@@ -253,10 +247,7 @@ class Engine:
             info = InfoPayload(services=dict(self.config.services))
             return [SendMessage(self._envelope(ProtocolCode.SERVICES_AVAILABLE_R, now_ms, info=info))]
 
-        if code == ProtocolCode.SERVICES_AVAILABLE_R and state in _ACTIVE:
-            # the reply itself completes the exchange; no receipt goes back
-            catalog = envelope.info.services if envelope.info else {}
-            self.callbacks.on_service_catalog(session, dict(catalog))
+        if code in _RECEIPTS and state in _ACTIVE:
             return []
 
         if code == ProtocolCode.LIST_PEERS and state in _ACTIVE:
@@ -265,10 +256,6 @@ class Engine:
         if code == ProtocolCode.LIST_PEERS_R and state in _ACTIVE:
             listing = envelope.info.peers if envelope.info else {}
             self._merge_listing(listing, now_ms)
-            self.callbacks.on_peer_list(session, dict(listing))
-            return []
-
-        if code in (ProtocolCode.SERVICES_AVAILABLE_S, ProtocolCode.LIST_PEERS_S) and state in _ACTIVE:
             return []
 
         if code == ProtocolCode.REAL_TIME_DATA:
@@ -286,15 +273,7 @@ class Engine:
                 return [StopStream(), SendMessage(self.status_message(ProtocolCode.REAL_TIME_DATA_S, now_ms))]
             return self._unexpected(now_ms)
 
-        if code in (ProtocolCode.REAL_TIME_DATA_R, ProtocolCode.ON_DEMAND_DATA_R) and state in _ACTIVE:
-            self.callbacks.on_weather_data(session, envelope, on_demand=(code == ProtocolCode.ON_DEMAND_DATA_R))
-            return []
-
-        if code in (ProtocolCode.REAL_TIME_DATA_S, ProtocolCode.ON_DEMAND_DATA_S) and state in _ACTIVE:
-            return []
-
         if 600 <= code <= 699 and state in _ANSWERABLE:
-            self.callbacks.on_error(session, code)
             return []
 
         return self._unexpected(now_ms)

@@ -20,12 +20,14 @@ import os
 import re
 from dataclasses import dataclass
 
-NODE_ID_PATTERN = re.compile(r"^[0-9a-f]{64}$")
+# each pattern must match the whole text (fullmatch): "$" also matches before a
+# final newline, and "\d" would take any Unicode digit
+NODE_ID_PATTERN = re.compile(r"[0-9a-f]{64}")
 
-_BLOCK_RE = re.compile(r"^\d{2}$")
-_STATION_RE = re.compile(r"^\d{3}$")
+_BLOCK_RE = re.compile(r"[0-9]{2}")
+_STATION_RE = re.compile(r"[0-9]{3}")
 # RFC 3986 unreserved characters, after case folding
-_SEGMENT_RE = re.compile(r"^[a-z0-9._~-]+$")
+_SEGMENT_RE = re.compile(r"[a-z0-9._~-]+")
 
 
 class IdentityError(ValueError):
@@ -43,9 +45,9 @@ class StationDescriptor:
 
 
 def _checked(descriptor: StationDescriptor) -> StationDescriptor:
-    if not _BLOCK_RE.match(descriptor.block):
+    if not _BLOCK_RE.fullmatch(descriptor.block):
         raise IdentityError("block must be two digits, got %r" % (descriptor.block,))
-    if not _STATION_RE.match(descriptor.station):
+    if not _STATION_RE.fullmatch(descriptor.station):
         raise IdentityError("station must be three digits, got %r" % (descriptor.station,))
     if not descriptor.place.strip():
         raise IdentityError("place is empty")
@@ -56,7 +58,7 @@ def _checked(descriptor: StationDescriptor) -> StationDescriptor:
 
 def _fold(text: str, what: str) -> str:
     folded = text.strip().lower().replace(" ", "-")
-    if not _SEGMENT_RE.match(folded):
+    if not _SEGMENT_RE.fullmatch(folded):
         raise IdentityError("%s %r does not fold to a URI-safe segment" % (what, text))
     return folded
 
@@ -95,4 +97,4 @@ def random_node_id(entropy: bytes | None = None) -> str:
 
 def is_node_id(text: str) -> bool:
     """True when text is a well-formed 64-character lowercase hex id."""
-    return isinstance(text, str) and bool(NODE_ID_PATTERN.match(text))
+    return isinstance(text, str) and NODE_ID_PATTERN.fullmatch(text) is not None

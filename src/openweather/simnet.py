@@ -66,16 +66,10 @@ class VirtualConnection:
 
 
 class VirtualClock:
-    """Monotonic virtual milliseconds."""
+    """Monotonic virtual milliseconds; VirtualNetwork.advance moves them forward."""
 
     def __init__(self, start_ms: int = 0):
         self.now_ms = start_ms
-
-    def advance(self, delta_ms: int) -> int:
-        if delta_ms < 0:
-            raise SimError("the clock only moves forward")
-        self.now_ms += delta_ms
-        return self.now_ms
 
 
 class VirtualNetwork:

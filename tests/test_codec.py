@@ -260,6 +260,87 @@ def test_validate_flags_bad_header_fields(bad, fragment):
     assert any(fragment in problem for problem in report.problems)
 
 
+# decimal digits other than 0-9, each of which int() reads: Arabic-Indic,
+# extended Arabic-Indic, Devanagari, Bengali, fullwidth, mathematical
+FOREIGN_DIGITS = "\u0660\u0661\u0662\u06f5\u0966\u09e7\uff11\U0001d7d9"
+CLEAN_ID = "0123456789abcdef" * 4
+CLEAN_TIME = "2011-07-20T16:51:29Z"
+# field -> (its text in a clean message, the problem validate reports once it is tainted)
+CHECKED_TEXT = {
+    "node_id": (CLEAN_ID, "node id is not 64 lowercase hex characters"),
+    "timestamp": (CLEAN_TIME, "timestamp malformed"),
+    "version": ("OpenWeather/1.0", "version malformed"),
+    "zone": ("35V", "location zone malformed"),
+    "retrieve": (CLEAN_TIME, "retrieve timestamp malformed"),
+}
+
+
+@st.composite
+def tainted(draw, text: str, newline: bool = True) -> str:
+    """text ending in a newline, or with one of its digits swapped for a non-ASCII digit."""
+    if newline and draw(st.booleans()):
+        return text + "\n"
+    at = draw(st.sampled_from([at for at, char in enumerate(text) if char in "0123456789"]))
+    return text[:at] + draw(st.sampled_from(FOREIGN_DIGITS)) + text[at + 1 :]
+
+
+def checked_envelope(field: str = "", text: str = "") -> Envelope:
+    """A type-201 query whose checked field holds text; every other field is clean."""
+    header = dict(node_id=CLEAN_ID, timestamp=CLEAN_TIME, version="OpenWeather/1.0", location=LOCATION)
+    asked = text if field == "retrieve" else CLEAN_TIME
+    if field == "zone":
+        header["location"] = UtmLocation(LOCATION.northing, LOCATION.easting, text)
+    elif field in header:
+        header[field] = text
+    return Envelope(201, meta(**header), retrieve=RetrieveRequest(("PTU",), asked))
+
+
+@given(st.sampled_from(sorted(CHECKED_TEXT)).flatmap(
+    lambda field: st.tuples(st.just(field), tainted(CHECKED_TEXT[field][0]))
+))
+@example(("timestamp", "\u0662\u0660\u0661\u0661-07-20T16:51:29Z"))
+@example(("node_id", CLEAN_ID + "\n"))
+def test_checked_fields_refuse_a_final_newline_and_non_ascii_digits(case):
+    field, text = case
+    clean, problem = CHECKED_TEXT[field]
+    assert validate(checked_envelope(field, clean)).ok
+    envelope = checked_envelope(field, text)
+    assert problem in validate(envelope).problems
+    with pytest.raises(EncodeError, match=problem):
+        encode(envelope)
+
+
+# wire key -> (its text in the clean frame, whether it is the frame's last member of that key)
+WIRE_TEXT = {
+    "ID": (CLEAN_ID, False),
+    "Timestamp": (CLEAN_TIME, False),
+    "Version": ("OpenWeather/1.0", False),
+    "Location": (LOCATION.render(), False),
+    "Retrieve.Timestamp": (CLEAN_TIME, True),
+}
+
+
+@given(st.sampled_from(sorted(WIRE_TEXT)).flatmap(
+    # the Location splits on whitespace, so only a digit taints it
+    lambda key: st.tuples(st.just(key), tainted(WIRE_TEXT[key][0], newline=key != "Location"))
+))
+@example(("Location", "\u0661 385565 \u0663\u0665V"))
+def test_a_frame_with_a_tainted_field_is_refused(case):
+    key, text = case
+    clean, last = WIRE_TEXT[key]
+    key = key.rpartition(".")[2]
+    frame = encode(checked_envelope()).decode()
+    member = '"%s" : %s' % (key, json.dumps(clean))
+    at = frame.rfind(member) if last else frame.find(member)
+    assert at >= 0
+    frame = frame[:at] + '"%s" : %s' % (key, json.dumps(text)) + frame[at + len(member) :]
+    try:
+        envelope = decode(frame)
+    except SchemaError:
+        return  # a coordinate that is not an integer in ASCII digits
+    assert not validate(envelope).ok
+
+
 def test_validate_payload_rules():
     services = InfoPayload(services={"PTU": "RO"})
     no_payload = validate(Envelope(type_code=103, meta=meta()))
@@ -706,7 +787,7 @@ def slot(valid, typed: bool):
 
 
 def metas(typed: bool):
-    # an address may also be an int, and a zone or version may end in a newline ("$" lets it through)
+    # an address may also be an int, and a zone or version may end in a newline (which validate refuses)
     return st.builds(
         MetaInfo,
         node_id=slot(NODE_IDS, typed),

@@ -20,7 +20,6 @@ from openweather.codec import (
     validate,
 )
 from openweather.engine import (
-    Callbacks,
     CloseSession,
     Engine,
     NodeConfig,
@@ -158,19 +157,12 @@ def test_service_discovery_with_no_services_is_unavailable():
     assert send.envelope.type_code == 602
 
 
-def test_service_catalog_receipt_notifies_without_echo():
-    caught = {}
-
-    class Hooks(Callbacks):
-        def on_service_catalog(self, session, services):
-            caught["services"] = services
-
-    engine = Engine(config(), callbacks=Hooks())
+def test_service_catalog_receipt_draws_no_echo():
+    engine = Engine(config())
     session = Session(state=SessionState.ESTABLISHED)
     # the reply closes the exchange: two messages per operation, total
     actions = engine.handle_message(session, inbound(103, **payload_for(103)), now_ms=0)
     assert actions == []
-    assert caught["services"] == default_services()
 
 
 # -- peer listings ----------------------------------------------------------------------
@@ -252,18 +244,11 @@ def test_requester_subscription_flags():
         engine.stop_realtime(session, 3)
 
 
-def test_inbound_data_triggers_callback():
-    seen = []
-
-    class Hooks(Callbacks):
-        def on_weather_data(self, session, envelope, on_demand):
-            seen.append((envelope.type_code, on_demand))
-
-    engine = Engine(config(), callbacks=Hooks())
+def test_inbound_data_draws_no_reply():
+    engine = Engine(config())
     session = Session(state=SessionState.ESTABLISHED)
-    engine.handle_message(session, inbound(300, **payload_for(300)), now_ms=0)
-    engine.handle_message(session, inbound(301, **payload_for(301)), now_ms=1)
-    assert seen == [(300, False), (301, True)]
+    assert engine.handle_message(session, inbound(300, **payload_for(300)), now_ms=0) == []
+    assert engine.handle_message(session, inbound(301, **payload_for(301)), now_ms=1) == []
 
 
 # -- on-demand serving ---------------------------------------------------------------------
@@ -340,18 +325,11 @@ def test_closed_session_swallows_everything():
         assert session.state is SessionState.CLOSED
 
 
-def test_error_statuses_reach_the_callback():
-    seen = []
-
-    class Hooks(Callbacks):
-        def on_error(self, session, code):
-            seen.append(code)
-
-    engine = Engine(config(), callbacks=Hooks())
+def test_error_statuses_draw_no_reply():
+    engine = Engine(config())
     session = Session(state=SessionState.ESTABLISHED)
     for code in (600, 601, 602, 650):
         assert engine.handle_message(session, inbound(code), 0) == []
-    assert seen == [600, 601, 602, 650]
 
 
 def test_exhaustive_dispatch_is_total_and_clean():

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from openweather.identity import (
     IdentityError,
@@ -96,3 +97,31 @@ def test_is_node_id():
     assert not is_node_id("a" * 63)
     assert not is_node_id("g" * 64)
     assert not is_node_id(None)
+
+
+# decimal digits other than 0-9 (Arabic-Indic, Devanagari, fullwidth, mathematical)
+FOREIGN_DIGITS = "\u0660\u0661\u0966\uff11\U0001d7d9"
+
+
+@st.composite
+def tainted(draw, text: str) -> str:
+    """text ending in a newline, or with one of its digits swapped for a non-ASCII digit."""
+    if draw(st.booleans()):
+        return text + "\n"
+    at = draw(st.sampled_from([at for at, char in enumerate(text) if char in "0123456789"]))
+    return text[:at] + draw(st.sampled_from(FOREIGN_DIGITS)) + text[at + 1 :]
+
+
+@given(st.sampled_from(("block", "station", "node id")).flatmap(
+    lambda field: st.tuples(st.just(field), tainted({"block": "02", "station": "974", "node id": HELSINKI_ID}[field]))
+))
+@example(("node id", HELSINKI_ID + "\n"))
+@example(("station", "97\u0664"))
+def test_ids_and_station_numbers_refuse_a_final_newline_and_non_ascii_digits(case):
+    field, text = case
+    if field == "node id":
+        assert not is_node_id(text)
+        return
+    descriptor = StationDescriptor(**dict(vars(HELSINKI), **{field: text}))
+    with pytest.raises(IdentityError, match="%s must be" % field):
+        derive_node_id(descriptor)

@@ -14,6 +14,7 @@ from openweather.engine import Engine, NodeConfig, SessionState, StateError
 from openweather.node import Hangup, NodeRuntime, Outbound
 from openweather.peers import PeerRecord
 from openweather.sensors import GeneratorConfig, SampleGenerator, SampleStore, VendorLineSource
+from openweather.vendor import to_data_block
 
 LOCATION = UtmLocation(6672224, 385565, "35V")
 
@@ -170,6 +171,55 @@ def test_invalid_but_parseable_frame_answered_with_unexpected_status():
     broken = message.replace(b'"Port" : 62535', b'"Port" : 0')
     (reply,) = bob.on_frame("conn", broken, now_ms=7)
     assert decode(reply.frame).type_code == 600
+
+
+def test_handshake_whose_id_ends_in_a_newline_is_refused():
+    alice, bob = runtime_for(1), runtime_for(2)
+    node_id = alice.config.node_id
+    frame = encode(alice.engine.status_message(100, 0))
+    assert frame.count(b'"%s"' % node_id.encode()) == 1
+    bob.open_session("conn", 0)
+    outputs = bob.on_frame("conn", frame.replace(b'"%s"' % node_id.encode(), b'"%s\\n"' % node_id.encode()), 1)
+    assert [(o.code, decode(o.frame).type_code) for o in outputs] == [(600, 600)]
+    assert len(bob.engine.peer_table) == 0
+    assert bob.session("conn").state is SessionState.IDLE
+
+
+@settings(deadline=None)
+@given(stall=st.integers(1, 60), late_ms=st.integers(0, 999), order=st.permutations(["zulu", "mike", "alpha"]))
+def test_a_stall_of_k_intervals_makes_up_k_samples_in_one_tick(stall, late_ms, order):
+    """The stall rule of NodeRuntime.on_tick: k samples stored in time order,
+    each streamed once to every subscriber in subscription order and stamped
+    with its own time, and one keep-alive sweep."""
+    weather = GeneratorConfig(interval_ms=1000, temperature_step=3, humidity_step=2, pressure_step=1)
+    alice, bob = runtime_for(1), runtime_for(2, generator=SampleGenerator(weather))
+    for key in order:
+        pump(bob, alice, pump(alice, bob, alice.connect(key, 0), 0), 0)
+        assert pump(alice, bob, alice.request_realtime(key, 500), 500) == []  # nothing sampled yet
+    stored, sweeps = [], []
+
+    def insert(sample, insert=bob.store.insert):
+        stored.append(sample)
+        insert(sample)
+
+    def sweep(sessions, now_ms, sweep=bob.engine.keep_alive_sweep):
+        sweeps.append(now_ms)
+        return sweep(sessions, now_ms)
+
+    bob.store.insert, bob.engine.keep_alive_sweep = insert, sweep
+    now = stall * 1000 + late_ms
+    outputs = bob.on_tick(now)
+    ticks = [1000 * n for n in range(1, stall + 1)]
+    assert [sample.timestamp_ms for sample in stored] == ticks
+    assert len(bob.store) == stall
+    assert all(isinstance(o, Outbound) and o.code == 300 for o in outputs)
+    streamed = [(o.key, decode(o.frame[:-1])) for o in outputs]
+    assert [(key, parse_timestamp(message.meta.timestamp)) for key, message in streamed] == [
+        (key, tick) for tick in ticks for key in order
+    ]
+    assert [message.data for _, message in streamed] == [to_data_block(s) for s in stored for _ in order]
+    assert sweeps == [now - late_ms]
+    assert bob.next_due_ms() == now - late_ms + 1000
 
 
 def test_stream_fan_out_and_cadence():
