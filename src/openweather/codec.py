@@ -29,7 +29,11 @@ tables.
 The decoder is liberal: arbitrary whitespace and key order, numeric fields
 quoted as strings, timestamps with or without the trailing "Z", and the
 historical spellings of the on-demand query (key "Retrive", or the query
-nested inside "Data").
+nested inside "Data").  A quoted numeric, like each Location coordinate,
+must still be an ASCII numeral, an optional "-" then digits (validate
+reports a negative value, not decode).  Leading zeros are accepted and
+read as their value, so "005" is 5 and re-encodes as 5; a sign "+", a
+"_" separator, surrounding whitespace or a non-ASCII digit is refused.
 
 The "Data" schema lives in one table, MEASUREMENTS: one row per field,
 naming its group, its attribute on the group's block, its path on the
@@ -131,6 +135,7 @@ class EncodeError(CodecError):
 _TIMESTAMP_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})(Z?)")
 _ZONE_RE = re.compile(r"[0-9]{1,2}[A-Z]")
 _VERSION_RE = re.compile(r"OpenWeather/[0-9]+\.[0-9]+")
+_NUMERAL_RE = re.compile(r"-?[0-9]+")  # int() alone also takes "+", "_", spaces and non-ASCII digits
 
 
 def format_timestamp(epoch_ms: int) -> str:
@@ -175,10 +180,10 @@ class UtmLocation:
         if len(parts) != 3:
             raise ValueError("location needs three tokens: %r" % (text,))
         northing, easting, zone = parts
-        if northing.isascii() and easting.isascii():  # int() also reads non-ASCII digits
+        if _NUMERAL_RE.fullmatch(northing) and _NUMERAL_RE.fullmatch(easting):
             try:
                 return cls(int(northing, 10), int(easting, 10), zone)
-            except ValueError:
+            except ValueError:  # past int()'s digit limit
                 pass
         raise ValueError("location coordinates must be integers: %r" % (text,))
 
@@ -762,11 +767,11 @@ def _as_int(value, name: str) -> int:
         raise SchemaError('"%s" is not an integer' % name)
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and _NUMERAL_RE.fullmatch(value):
         try:
             return int(value, 10)
-        except ValueError:
-            raise SchemaError('"%s" is not an integer' % name)
+        except ValueError:  # past int()'s digit limit
+            pass
     raise SchemaError('"%s" is not an integer' % name)
 
 

@@ -1,13 +1,19 @@
 """Per-session protocol state machine.
 
-The engine consumes decoded, validated envelopes and answers with a list
-of actions for the caller to carry out: send a message, close the session,
-start or stop streaming to the peer.  A message that needs none of these
-(a receipt, a status) answers with an empty list; of those, only a peer
-listing changes anything, by merging into the peer table.  The engine has
-no notification hooks, and it never touches a socket or a clock itself.
-Time arrives as integer epoch milliseconds, so the same engine runs under
-the real clock and the simulator's virtual one.
+The engine consumes decoded, validated envelopes and answers with the
+list of envelopes to send back on the same session, in order.  A message
+that needs no reply (a receipt, a status) answers with an empty list; of
+those, only a peer listing changes anything, by merging into the peer
+table.  The engine never touches a socket or a clock itself.  Time
+arrives as integer epoch milliseconds, so the same engine runs under the
+real clock and the simulator's virtual one.
+
+The engine also owns the node's subscriber table: ``subscribers`` holds
+the keys of the sessions it streams to, in subscription order.  A type
+200 adds the session's key, and a type 202 or a keep-alive sweep that
+closes the session removes it.  stream_message builds the type-300
+message of one sample, for the first frame of a subscription and for
+each later sample alike.
 
 Session states: Idle (fresh connection), HandshakeSent (we opened),
 Established, Streaming (we are serving a real-time feed), Closed.
@@ -39,7 +45,6 @@ from .codec import (
     ProtocolCode,
     RetrieveRequest,
     UtmLocation,
-    WeatherData,
     format_timestamp,
     parse_timestamp,
     validate,
@@ -82,26 +87,6 @@ class Session:
     remote: PeerRecord | None = None
     last_rx: int = 0
     stream_active: bool = False
-
-
-@dataclass(frozen=True)
-class SendMessage:
-    envelope: Envelope
-
-
-@dataclass(frozen=True)
-class CloseSession:
-    reason: str
-
-
-@dataclass(frozen=True)
-class StartStream:
-    pass
-
-
-@dataclass(frozen=True)
-class StopStream:
-    pass
 
 
 def default_services() -> dict:
@@ -163,6 +148,7 @@ class Engine:
         self.peer_table = peer_table if peer_table is not None else PeerTable()
         self.sample_store = sample_store
         self.rng = rng if rng is not None else random.Random()
+        self.subscribers: dict = {}  # keys of STREAMING sessions in subscription order; values unused
         self._meta: MetaInfo | None = None  # the last header _header built, and its second
         self._meta_second = None
         # refuse now what this node could never send: its header, and its catalog if it has one
@@ -211,14 +197,15 @@ class Engine:
         """A bare header-only message (handshakes, statuses, errors)."""
         return self._envelope(code, now_ms)
 
-    def realtime_message(self, block: WeatherData, now_ms: int) -> Envelope:
-        """A Type-300 streamed data message assembled at now_ms."""
-        return self._envelope(ProtocolCode.REAL_TIME_DATA_R, now_ms, data=block)
+    def stream_message(self, sample) -> Envelope:
+        """A sample's Type-300 stream message, stamped with the sample's own time."""
+        block = vendor.to_data_block(sample)
+        return self._envelope(ProtocolCode.REAL_TIME_DATA_R, sample.timestamp_ms, data=block)
 
     # -- inbound dispatch ---------------------------------------------------
 
     def handle_message(self, session: Session, envelope: Envelope, now_ms: int) -> list:
-        """React to one validated inbound envelope; returns actions."""
+        """React to one validated inbound envelope; returns the envelopes to send."""
         session.last_rx = now_ms
         code = int(envelope.type_code)
         state = session.state
@@ -230,7 +217,7 @@ class Engine:
                 self._register(session, envelope.meta, now_ms)
                 if state is SessionState.IDLE:
                     session.state = SessionState.ESTABLISHED
-                return [SendMessage(self.status_message(ProtocolCode.HANDSHAKE_S, now_ms))]
+                return [self.status_message(ProtocolCode.HANDSHAKE_S, now_ms)]
             return self._unexpected(now_ms)
 
         if code == ProtocolCode.HANDSHAKE_S:
@@ -243,9 +230,9 @@ class Engine:
 
         if code == ProtocolCode.SERVICES_AVAILABLE and state in _ACTIVE:
             if not self.config.services:
-                return [SendMessage(self.status_message(ProtocolCode.SERVICE_UNAVAILABLE, now_ms))]
+                return [self.status_message(ProtocolCode.SERVICE_UNAVAILABLE, now_ms)]
             info = InfoPayload(services=dict(self.config.services))
-            return [SendMessage(self._envelope(ProtocolCode.SERVICES_AVAILABLE_R, now_ms, info=info))]
+            return [self._envelope(ProtocolCode.SERVICES_AVAILABLE_R, now_ms, info=info)]
 
         if code in _RECEIPTS and state in _ACTIVE:
             return []
@@ -261,7 +248,9 @@ class Engine:
         if code == ProtocolCode.REAL_TIME_DATA:
             if state is SessionState.ESTABLISHED:
                 session.state = SessionState.STREAMING
-                return [StartStream()]
+                self.subscribers[session.key] = None
+                latest = self.sample_store.latest() if self.sample_store is not None else None
+                return [self.stream_message(latest)] if latest is not None else []
             return self._unexpected(now_ms)
 
         if code == ProtocolCode.ON_DEMAND_DATA and state in _ACTIVE:
@@ -270,7 +259,8 @@ class Engine:
         if code == ProtocolCode.STOP_REAL_TIME_DATA:
             if state is SessionState.STREAMING:
                 session.state = SessionState.ESTABLISHED
-                return [StopStream(), SendMessage(self.status_message(ProtocolCode.REAL_TIME_DATA_S, now_ms))]
+                self.subscribers.pop(session.key, None)
+                return [self.status_message(ProtocolCode.REAL_TIME_DATA_S, now_ms)]
             return self._unexpected(now_ms)
 
         if 600 <= code <= 699 and state in _ANSWERABLE:
@@ -279,7 +269,7 @@ class Engine:
         return self._unexpected(now_ms)
 
     def _unexpected(self, now_ms: int) -> list:
-        return [SendMessage(self.status_message(ProtocolCode.UNEXPECTED_MESSAGE, now_ms))]
+        return [self.status_message(ProtocolCode.UNEXPECTED_MESSAGE, now_ms)]
 
     def _register(self, session: Session, meta: MetaInfo, now_ms: int) -> None:
         record = PeerRecord(
@@ -316,26 +306,26 @@ class Engine:
         selected = self.peer_table.select_peers(wanted, self.rng, exclude={envelope.meta.node_id})
         listing = {record.node_id: record.listing_entry() for record in selected}
         info = InfoPayload(peers=listing)
-        return [SendMessage(self._envelope(ProtocolCode.LIST_PEERS_R, now_ms, info=info))]
+        return [self._envelope(ProtocolCode.LIST_PEERS_R, now_ms, info=info)]
 
     def _serve_on_demand(self, envelope: Envelope, now_ms: int) -> list:
         request = envelope.retrieve
         if request is None or not set(request.services) <= set(self.config.services):
-            return [SendMessage(self.status_message(ProtocolCode.SERVICE_UNAVAILABLE, now_ms))]
+            return [self.status_message(ProtocolCode.SERVICE_UNAVAILABLE, now_ms)]
         if self.sample_store is None:
-            return [SendMessage(self.status_message(ProtocolCode.SERVICE_UNAVAILABLE, now_ms))]
+            return [self.status_message(ProtocolCode.SERVICE_UNAVAILABLE, now_ms)]
         try:
             wanted_ms = parse_timestamp(request.timestamp)
         except ValueError:
-            return [SendMessage(self.status_message(ProtocolCode.SAMPLE_NOT_FOUND, now_ms))]
+            return [self.status_message(ProtocolCode.SAMPLE_NOT_FOUND, now_ms)]
         sample = self.sample_store.lookup(wanted_ms)
         if sample is None:
-            return [SendMessage(self.status_message(ProtocolCode.SAMPLE_NOT_FOUND, now_ms))]
+            return [self.status_message(ProtocolCode.SAMPLE_NOT_FOUND, now_ms)]
         block = vendor.to_data_block(sample)
         reply = self._envelope(
             ProtocolCode.ON_DEMAND_DATA_R, now_ms, data=block, timestamp=request.timestamp
         )
-        return [SendMessage(reply)]
+        return [reply]
 
     # -- requester operations -----------------------------------------------
 
@@ -349,39 +339,39 @@ class Engine:
         session.state = SessionState.HANDSHAKE_SENT
         # nothing received yet: the keep-alive countdown starts at the send
         session.last_rx = now_ms
-        return [SendMessage(self.status_message(ProtocolCode.HANDSHAKE, now_ms))]
+        return [self.status_message(ProtocolCode.HANDSHAKE, now_ms)]
 
     def request_services(self, session: Session, now_ms: int) -> list:
         self._need_established(session, "service discovery")
-        return [SendMessage(self.status_message(ProtocolCode.SERVICES_AVAILABLE, now_ms))]
+        return [self.status_message(ProtocolCode.SERVICES_AVAILABLE, now_ms)]
 
     def request_peers(self, session: Session, now_ms: int) -> list:
         self._need_established(session, "peer listing")
-        return [SendMessage(self.status_message(ProtocolCode.LIST_PEERS, now_ms))]
+        return [self.status_message(ProtocolCode.LIST_PEERS, now_ms)]
 
     def request_realtime(self, session: Session, now_ms: int) -> list:
         self._need_established(session, "real-time retrieval")
         if session.stream_active:
             raise StateError("stream already active on this session")
         session.stream_active = True
-        return [SendMessage(self.status_message(ProtocolCode.REAL_TIME_DATA, now_ms))]
+        return [self.status_message(ProtocolCode.REAL_TIME_DATA, now_ms)]
 
     def stop_realtime(self, session: Session, now_ms: int) -> list:
         self._need_established(session, "stream stop")
         if not session.stream_active:
             raise StateError("no active stream to stop")
         session.stream_active = False
-        return [SendMessage(self.status_message(ProtocolCode.STOP_REAL_TIME_DATA, now_ms))]
+        return [self.status_message(ProtocolCode.STOP_REAL_TIME_DATA, now_ms)]
 
     def request_on_demand(self, session: Session, services, timestamp: str, now_ms: int) -> list:
         self._need_established(session, "on-demand retrieval")
         retrieve = RetrieveRequest(services=tuple(services), timestamp=timestamp)
-        return [SendMessage(self._envelope(ProtocolCode.ON_DEMAND_DATA, now_ms, retrieve=retrieve))]
+        return [self._envelope(ProtocolCode.ON_DEMAND_DATA, now_ms, retrieve=retrieve)]
 
     # -- housekeeping ---------------------------------------------------------
 
     def keep_alive_sweep(self, sessions, now_ms: int) -> list:
-        """Close sessions whose peer went quiet; returns (session, action) pairs.
+        """Close sessions whose peer went quiet; returns the sessions closed.
 
         A session that never heard a handshake (IDLE) holds no peer budget,
         so it expires on the node's own, counted from when it opened.
@@ -394,5 +384,6 @@ class Engine:
             if session.last_rx + allowance < now_ms:
                 session.state = SessionState.CLOSED
                 session.stream_active = False
-                closed.append((session, CloseSession("keep-alive expired")))
+                self.subscribers.pop(session.key, None)
+                closed.append(session)
         return closed

@@ -1,10 +1,10 @@
 """Transport-independent node coordinator.
 
-A NodeRuntime owns the engine, peer table, sample store, subscriber set
-and sensor generator of one node, and exposes plain event-in/outputs-out
-methods.  A transport (the TCP server or the simulator) calls them with
-its own notion of time, then performs the returned sends and hangups; the
-runtime itself never blocks and never touches a socket.
+A NodeRuntime owns the engine, sample store and sensor generator of one
+node, and exposes plain event-in/outputs-out methods.  A transport (the
+TCP server or the simulator) calls them with its own notion of time, then
+performs the returned sends and hangups; the runtime itself never blocks
+and never touches a socket.
 
 A session lives exactly as long as its connection.  open_session (a peer
 connected to us) and connect (we connect to a peer) open one, and its
@@ -15,11 +15,12 @@ dropped unread, so input that was in flight when a session closed
 draws no reply.
 
 Each inbound frame is one guarded step: decode, validate, dispatch, and
-encoding the replies.  Whatever fails in that step, the peer's frame or a
-reply this node cannot encode, is answered by _reject with one type-600
-status, so no frame escapes on_frame to stop the transport loop.  Stream
-frames are built in one place, _stream_frame, for the tick fan-out and the
-first frame of a new subscription alike.
+encoding the envelopes the engine answers with.  Whatever fails in that
+step, the peer's frame or a reply this node cannot encode, is answered by
+_reject with one type-600 status, so no frame escapes on_frame to stop the
+transport loop.  The engine keeps the subscriber table; on_tick encodes
+each new sample's stream message once and sends that frame to every
+subscriber.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import logging
 import random
 from dataclasses import dataclass
 
-from . import vendor
 from .codec import Envelope, ParseError, ProtocolCode, SchemaError, UnknownCodeError, decode, encode, validate
-from .engine import Engine, NodeConfig, SendMessage, Session, StartStream, StopStream
+from .engine import Engine, NodeConfig, Session
 from .sensors import SampleGenerator, SampleStore
 
 log = logging.getLogger(__name__)
@@ -78,7 +78,6 @@ class NodeRuntime:
         self.generator = generator
         self.engine = Engine(config, local_ip=local_ip, sample_store=self.store, rng=rng)
         self.sessions: dict = {}  # open connections only: key -> Session
-        self.subscribers: dict = {}  # subscribed keys in subscription order; values unused
         self._next_sample_ms = start_ms + generator.interval_ms if generator else None
         self._next_sweep_ms = start_ms + SWEEP_INTERVAL_MS
 
@@ -96,12 +95,12 @@ class NodeRuntime:
     def connect(self, key, now_ms: int) -> list:
         """Start a session we initiate: emits the opening handshake."""
         session = self.open_session(key, now_ms)
-        return self._perform(self.engine.initiate_handshake(session, now_ms), key)
+        return self._outbound(key, self.engine.initiate_handshake(session, now_ms))
 
     def on_disconnect(self, key, now_ms: int) -> None:
         """The connection on key is gone: drop its session and subscription."""
         self.sessions.pop(key, None)
-        self.subscribers.pop(key, None)
+        self.engine.subscribers.pop(key, None)
 
     # -- inbound --------------------------------------------------------------
 
@@ -130,7 +129,7 @@ class NodeRuntime:
                 report = validate(envelope)
                 if not report.ok:
                     raise SchemaError("invalid envelope: " + "; ".join(report.problems))
-            return self._perform(self.engine.handle_message(session, envelope, now_ms), key)
+            return self._outbound(key, self.engine.handle_message(session, envelope, now_ms))
         except (ParseError, SchemaError, UnknownCodeError) as exc:  # the peer's frame
             log.info("rejected frame on %r: %s", key, exc)
         except Exception:
@@ -143,25 +142,25 @@ class NodeRuntime:
         """Answer a frame whose step failed with one type-600 status."""
         self.sessions[key].last_rx = now_ms
         status = self.engine.status_message(ProtocolCode.UNEXPECTED_MESSAGE, now_ms)
-        return self._perform([SendMessage(status)], key)
+        return self._outbound(key, [status])
 
     # -- requester operations --------------------------------------------------
 
     def request_services(self, key, now_ms: int) -> list:
-        return self._perform(self.engine.request_services(self.session(key), now_ms), key)
+        return self._outbound(key, self.engine.request_services(self.session(key), now_ms))
 
     def request_peers(self, key, now_ms: int) -> list:
-        return self._perform(self.engine.request_peers(self.session(key), now_ms), key)
+        return self._outbound(key, self.engine.request_peers(self.session(key), now_ms))
 
     def request_realtime(self, key, now_ms: int) -> list:
-        return self._perform(self.engine.request_realtime(self.session(key), now_ms), key)
+        return self._outbound(key, self.engine.request_realtime(self.session(key), now_ms))
 
     def stop_realtime(self, key, now_ms: int) -> list:
-        return self._perform(self.engine.stop_realtime(self.session(key), now_ms), key)
+        return self._outbound(key, self.engine.stop_realtime(self.session(key), now_ms))
 
     def request_on_demand(self, key, services, timestamp: str, now_ms: int) -> list:
-        actions = self.engine.request_on_demand(self.session(key), services, timestamp, now_ms)
-        return self._perform(actions, key)
+        envelopes = self.engine.request_on_demand(self.session(key), services, timestamp, now_ms)
+        return self._outbound(key, envelopes)
 
     # -- timers ---------------------------------------------------------------
 
@@ -196,35 +195,20 @@ class NodeRuntime:
             if sample is None:  # line-fed sources run dry
                 continue
             self.store.insert(sample)
-            if self.subscribers:
-                frame = self._stream_frame(sample)
-                outputs.extend(Outbound(key, frame, STREAM_CODE) for key in self.subscribers)
+            subscribers = self.engine.subscribers
+            if subscribers:
+                frame = encode(self.engine.stream_message(sample)) + b"\n"
+                outputs.extend(Outbound(key, frame, STREAM_CODE) for key in subscribers)
         if self._next_sweep_ms <= now_ms:
             sweep_at = now_ms - (now_ms - self._next_sweep_ms) % SWEEP_INTERVAL_MS
             self._next_sweep_ms = sweep_at + SWEEP_INTERVAL_MS
-            for session, action in self.engine.keep_alive_sweep(self.sessions.values(), sweep_at):
+            for session in self.engine.keep_alive_sweep(self.sessions.values(), sweep_at):
                 self.on_disconnect(session.key, sweep_at)
-                outputs.append(Hangup(session.key, action.reason))
+                outputs.append(Hangup(session.key, "keep-alive expired"))
         return outputs
 
-    # -- engine action translation ---------------------------------------------
+    # -- encoding -------------------------------------------------------------
 
-    def _stream_frame(self, sample) -> bytes:
-        """A sample's type-300 frame, stamped with the sample's own time."""
-        message = self.engine.realtime_message(vendor.to_data_block(sample), sample.timestamp_ms)
-        return encode(message) + b"\n"
-
-    def _perform(self, actions: list, key) -> list:
-        outputs = []
-        for action in actions:
-            if isinstance(action, SendMessage):
-                envelope = action.envelope
-                outputs.append(Outbound(key, encode(envelope) + b"\n", int(envelope.type_code)))
-            elif isinstance(action, StartStream):
-                self.subscribers[key] = None
-                latest = self.store.latest()
-                if latest is not None:
-                    outputs.append(Outbound(key, self._stream_frame(latest), STREAM_CODE))
-            elif isinstance(action, StopStream):
-                self.subscribers.pop(key, None)
-        return outputs
+    def _outbound(self, key, envelopes: list) -> list:
+        """Encode the engine's envelopes as frames for the connection on key."""
+        return [Outbound(key, encode(e) + b"\n", int(e.type_code)) for e in envelopes]

@@ -10,6 +10,8 @@ Scenario files are line oriented; ``#`` starts a comment.  Directives::
 Node attributes: seed=N ip=ADDR port=N bandwidth=CLASS
 location="<northing> <easting> <zone>" services=PTU,WIND,PRECIPITATION
 interval=MS keep-alive=MS update-interval=MS peers-requested=N.
+The n-th node declared defaults to seed n and to address 10.0.0.0 + n:
+10.0.0.1 up to 10.0.0.255, then 10.0.1.0 onwards.
 
 Commands: ``handshake <peer>``, ``discover <peer>``, ``peers <peer>``,
 ``stream <peer>``, ``stop <peer>``, ``fetch <peer> <timestamp> [svc,...]``.
@@ -28,6 +30,7 @@ caches it per node and refreshes it after each tick.
 
 from __future__ import annotations
 
+import ipaddress
 import random
 import shlex
 from dataclasses import dataclass, field
@@ -41,6 +44,7 @@ from .sensors import GeneratorConfig, SampleGenerator, SampleStore
 from .simnet import LinkSpec, VirtualNetwork
 
 DEFAULT_LOCATION = "6672224 385565 35V"
+_AUTO_IP_BASE = ipaddress.IPv4Address("10.0.0.0")  # node n defaults to this + n
 _COMMANDS = ("handshake", "discover", "peers", "stream", "stop", "fetch")
 
 
@@ -130,7 +134,7 @@ def parse_scenario(text: str) -> Scenario:
             spec = NodeSpec(
                 name=name,
                 seed=_int_attr(pairs, "seed", auto_ip, where),
-                ip=pairs.get("ip", "10.0.0.%d" % auto_ip),
+                ip=pairs.get("ip", str(_AUTO_IP_BASE + auto_ip)),
                 port=_int_attr(pairs, "port", 62535, where),
                 bandwidth=_int_attr(pairs, "bandwidth", 6, where),
                 location=pairs.get("location", DEFAULT_LOCATION),

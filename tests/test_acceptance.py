@@ -24,15 +24,7 @@ from openweather.codec import (
     format_timestamp,
     validate,
 )
-from openweather.engine import (
-    CloseSession,
-    Engine,
-    SendMessage,
-    Session,
-    SessionState,
-    StartStream,
-    StopStream,
-)
+from openweather.engine import Engine, Session, SessionState
 from openweather.identity import StationDescriptor, derive_node_id
 from openweather.peers import BANDWIDTH_CLASS_BPS, PeerRecord, bandwidth_to_bps
 from openweather.scenario import run_scenario
@@ -217,9 +209,8 @@ def test_criterion_06_keep_alive_sweep():
         open_before = [s for s in sessions if s.state not in (SessionState.IDLE, SessionState.CLOSED)]
         due = [s for s in open_before if s.last_rx + s.remote.keep_alive_ms < now]
         swept = engine.keep_alive_sweep(sessions, now_ms=now)
-        assert [s for s, _ in swept] == due
-        for session, action in swept:
-            assert isinstance(action, CloseSession)
+        assert swept == due
+        for session in swept:
             assert session.state is SessionState.CLOSED
             assert not session.stream_active
     assert all(s.state is SessionState.CLOSED for s in sessions)  # horizon outlives every budget
@@ -238,26 +229,28 @@ def test_criterion_06_keep_alive_sweep():
 
 
 def test_criterion_07_dispatch_is_total():
-    known = (SendMessage, StartStream, StopStream, CloseSession)
     for state in SessionState:
         for code in REGISTRY + (640,):
-            engine = Engine(node_config())
+            store = SampleStore()
+            store.insert(SampleGenerator().next_sample(3000))
+            engine = Engine(node_config(), sample_store=store)
             session = Session(state=state)
-            actions = engine.handle_message(session, inbound(code, **payload_for(code)), now_ms=0)
+            replies = engine.handle_message(session, inbound(code, **payload_for(code)), now_ms=0)
             if state is SessionState.CLOSED or code in SILENT.get(state, ()):
-                assert actions == [], (state, code)
+                assert replies == [], (state, code)
                 continue
-            assert actions, (state, code)
+            assert replies, (state, code)
             statuses = []
-            for action in actions:
-                assert isinstance(action, known), (state, code, action)
-                if isinstance(action, SendMessage):
-                    assert validate(action.envelope).ok, (state, code)
-                    if int(action.envelope.type_code) == 600:
-                        statuses.append(action)
+            for reply in replies:
+                assert isinstance(reply, Envelope), (state, code, reply)
+                assert validate(reply).ok, (state, code)
+                if int(reply.type_code) == 600:
+                    statuses.append(reply)
             if statuses:
-                assert actions == statuses and len(statuses) == 1, (state, code)
-    verdict(7, "every (state, code) pair yields catalogued actions, a lone 600 status or listed silence")
+                assert replies == statuses and len(statuses) == 1, (state, code)
+            if (state, code) == (SessionState.ESTABLISHED, 200):
+                assert [int(reply.type_code) for reply in replies] == [300]
+    verdict(7, "every (state, code) pair yields valid envelopes, a lone 600 status or listed silence")
 
 
 # -- 8: instrument line parsing ------------------------------------------------------------
@@ -315,7 +308,7 @@ def test_criterion_10_on_demand_equivalence():
     store.insert(sample)
     engine = Engine(node_config(), sample_store=store)
 
-    streamed = engine.realtime_message(to_data_block(sample), 61_000)
+    streamed = engine.stream_message(sample)
     assert int(streamed.type_code) == ProtocolCode.REAL_TIME_DATA_R
 
     session = Session(state=SessionState.ESTABLISHED)
@@ -324,8 +317,7 @@ def test_criterion_10_on_demand_equivalence():
         201,
         retrieve=RetrieveRequest(services=("PTU", "WIND", "PRECIPITATION"), timestamp=stamp),
     )
-    (reply,) = engine.handle_message(session, request, now_ms=70_000)
-    fetched = reply.envelope
+    (fetched,) = engine.handle_message(session, request, now_ms=70_000)
     assert int(fetched.type_code) == ProtocolCode.ON_DEMAND_DATA_R
 
     assert fetched.data == streamed.data  # field-for-field, all three groups

@@ -569,6 +569,68 @@ def test_decode_peer_listing_with_string_numbers():
     assert envelope.info.peers["b" * 64] == PeerEntry("172.21.25.11", 62535, 4)
 
 
+# quoted numerals int() reads as 62535, each of which decode refuses
+LIBERAL_PORTS = ("+62535", "62_535", " 62535 ", "62535\n", "\u0666\u0662\u0665\u0663\u0665", "\uff16\uff12\uff15\uff13\uff15")
+
+
+def frame_with(members: dict, peer: dict | None = None) -> str:
+    """A clean type-105 frame with MetaInfo members replaced, and one listing entry."""
+    body = json.loads(encode(Envelope(105, meta(), info=InfoPayload(peers={"b" * 64: PeerEntry("10.0.0.9", 62535, 4)}))))
+    body["OpenWeatherMessage"]["MetaInfo"].update(members)
+    body["OpenWeatherMessage"]["Info"]["Peers"]["b" * 64].update(peer or {})
+    return json.dumps(body)
+
+
+@pytest.mark.parametrize("port", LIBERAL_PORTS)
+def test_a_quoted_header_or_peer_numeral_must_be_ascii_digits(port):
+    with pytest.raises(SchemaError, match='"Port" is not an integer'):
+        decode(frame_with({"Port": port}))
+    with pytest.raises(SchemaError, match='"Port" is not an integer'):
+        decode(frame_with({}, {"Port": port}))
+
+
+@pytest.mark.parametrize("location", ["+5 2 35V", "5 0_2 35V", "5 +2 35V", "5 2_0 35V"])
+def test_location_coordinates_must_be_ascii_digits(location):
+    with pytest.raises(ValueError, match="must be integers"):
+        UtmLocation.parse(location)
+    with pytest.raises(SchemaError, match='"Location" malformed'):
+        decode(frame_with({"Location": location}))
+
+
+def test_a_quoted_minus_sign_is_left_for_validate_to_report():
+    envelope = decode(frame_with({"Bandwidth": "-1", "Location": "-5 -2 35V"}, {"Bandwidth": "-4"}))
+    assert (envelope.meta.bandwidth, envelope.meta.location) == (-1, UtmLocation(-5, -2, "35V"))
+    problems = validate(envelope).problems
+    for problem in ("bandwidth below 0", "location northing negative", "location easting negative",
+                    "peer bandwidth below 0"):
+        assert problem in problems
+
+
+def test_leading_zeros_read_as_their_value():
+    envelope = decode(frame_with({"Port": "062535", "Location": "005 0002 35V"}, {"Port": "00080"}))
+    assert envelope.meta.port == 62535
+    assert envelope.meta.location == UtmLocation(5, 2, "35V")
+    assert envelope.info.peers["b" * 64].port == 80
+    assert validate(envelope).ok
+
+
+@pytest.mark.parametrize("members", [{"Port": "9" * 5000}, {"Location": "9" * 5000 + " 2 35V"}])
+def test_a_numeral_past_ints_digit_limit_is_a_schema_error(members):
+    with pytest.raises(SchemaError):
+        decode(frame_with(members))
+
+
+@given(st.text(st.sampled_from("0123456789-+_ \t\n\u0665\uff11"), min_size=1, max_size=8))
+def test_a_quoted_numeral_decodes_only_when_it_is_ascii_digits(text):
+    try:
+        envelope = decode(frame_with({"Port": text}, {"Bandwidth": text}))
+    except SchemaError:
+        assert not (text.removeprefix("-").isdigit() and text.isascii())
+        return
+    assert text.removeprefix("-").isdigit() and text.isascii()
+    assert envelope.meta.port == envelope.info.peers["b" * 64].bandwidth == int(text)
+
+
 # -- round trips --------------------------------------------------------------------
 
 

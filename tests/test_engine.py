@@ -20,15 +20,11 @@ from openweather.codec import (
     validate,
 )
 from openweather.engine import (
-    CloseSession,
     Engine,
     NodeConfig,
-    SendMessage,
     Session,
     SessionState,
-    StartStream,
     StateError,
-    StopStream,
     build_metainfo,
     default_services,
 )
@@ -104,7 +100,7 @@ def test_inbound_handshake_registers_and_confirms():
     (send,) = engine.handle_message(session, inbound(100), now_ms=1000)
     assert session.state is SessionState.ESTABLISHED
     assert session.remote.node_id == "%064x" % 2
-    reply = send.envelope
+    reply = send
     assert reply.type_code == 101
     assert reply.meta.node_id == engine.config.node_id
     assert validate(reply).ok
@@ -115,20 +111,20 @@ def test_outbound_handshake_completes_on_confirmation():
     engine = Engine(config())
     session = Session()
     (send,) = engine.initiate_handshake(session, now_ms=0)
-    assert send.envelope.type_code == 100
+    assert send.type_code == 100
     assert session.state is SessionState.HANDSHAKE_SENT
-    actions = engine.handle_message(session, inbound(101), now_ms=50)
+    replies = engine.handle_message(session, inbound(101), now_ms=50)
     assert session.state is SessionState.ESTABLISHED
-    assert actions == []
+    assert replies == []
     assert session.remote is not None and session.remote.node_id == "%064x" % 2
     assert engine.peer_table.get("%064x" % 2).last_rx == 50
 
 
 def test_handshake_refresh_on_established_session():
     engine, session = established_engine()
-    actions = engine.handle_message(session, inbound(100), now_ms=0)
+    replies = engine.handle_message(session, inbound(100), now_ms=0)
     assert session.state is SessionState.ESTABLISHED
-    assert [type(a) for a in actions] == [SendMessage]
+    assert [int(r.type_code) for r in replies] == [101]
     assert session.remote.node_id == "%064x" % 2
     assert "%064x" % 2 in engine.peer_table
 
@@ -144,8 +140,7 @@ def test_initiate_handshake_requires_idle():
 
 def test_service_discovery_served():
     engine, session = established_engine()
-    (send,) = engine.handle_message(session, inbound(102), now_ms=0)
-    reply = send.envelope
+    (reply,) = engine.handle_message(session, inbound(102), now_ms=0)
     assert reply.type_code == 103
     assert reply.info.services == default_services()
     assert validate(reply).ok
@@ -154,15 +149,14 @@ def test_service_discovery_served():
 def test_service_discovery_with_no_services_is_unavailable():
     engine, session = established_engine(services={})
     (send,) = engine.handle_message(session, inbound(102), now_ms=0)
-    assert send.envelope.type_code == 602
+    assert send.type_code == 602
 
 
 def test_service_catalog_receipt_draws_no_echo():
     engine = Engine(config())
     session = Session(state=SessionState.ESTABLISHED)
     # the reply closes the exchange: two messages per operation, total
-    actions = engine.handle_message(session, inbound(103, **payload_for(103)), now_ms=0)
-    assert actions == []
+    assert engine.handle_message(session, inbound(103, **payload_for(103)), now_ms=0) == []
 
 
 # -- peer listings ----------------------------------------------------------------------
@@ -178,8 +172,7 @@ def test_peer_list_serving_excludes_requester_and_caps_count():
             PeerRecord(node_id="%064x" % n, peer_ip="10.0.0.%d" % (n % 250 + 1), port=62535, bandwidth=6)
         )
     request = Envelope(type_code=107, meta=remote_meta(2, peers_requested=20))
-    (send,) = engine.handle_message(session, request, now_ms=0)
-    reply = send.envelope
+    (reply,) = engine.handle_message(session, request, now_ms=0)
     assert reply.type_code == 105
     assert len(reply.info.peers) == 20
     assert "%064x" % 2 not in reply.info.peers
@@ -189,10 +182,8 @@ def test_peer_list_serving_excludes_requester_and_caps_count():
 def test_peer_list_receipt_merges_without_echo():
     engine, session = established_engine()
     listing = {"c" * 64: PeerEntry("10.0.0.9", 62535, 4)}
-    actions = engine.handle_message(
-        session, inbound(105, info=InfoPayload(peers=listing)), now_ms=7
-    )
-    assert actions == []
+    replies = engine.handle_message(session, inbound(105, info=InfoPayload(peers=listing)), now_ms=7)
+    assert replies == []
     assert "c" * 64 in engine.peer_table
     assert engine.peer_table.get("c" * 64).last_rx == 7
 
@@ -208,37 +199,61 @@ def test_status_codes_are_swallowed():
 
 def test_stream_lifecycle_on_serving_side():
     engine, session = established_engine()
-    assert engine.handle_message(session, inbound(200), now_ms=0) == [StartStream()]
+    session.key = "conn"
+    # nothing stored yet: the subscription starts without a first frame
+    assert engine.handle_message(session, inbound(200), now_ms=0) == []
     assert session.state is SessionState.STREAMING
+    assert list(engine.subscribers) == ["conn"]
     # operations still answered while serving a stream
     (send,) = engine.handle_message(session, inbound(102), now_ms=1)
-    assert send.envelope.type_code == 103
-    stop, confirm = engine.handle_message(session, inbound(202), now_ms=2)
-    assert stop == StopStream()
-    assert confirm.envelope.type_code == 500
+    assert send.type_code == 103
+    (confirm,) = engine.handle_message(session, inbound(202), now_ms=2)
+    assert confirm.type_code == 500
     assert session.state is SessionState.ESTABLISHED
+    assert list(engine.subscribers) == []
+
+
+def test_subscription_answers_with_the_newest_stored_sample():
+    engine, session = on_demand_engine()
+    (first,) = engine.handle_message(session, inbound(200), now_ms=20000)
+    assert first.type_code == 300
+    assert first.data == to_data_block(SampleGenerator().next_sample(9000))
+    # stamped with the sample's own time, not the serving moment
+    assert first.meta.timestamp == "1970-01-01T00:00:09Z"
+    assert validate(first).ok
+    assert first == engine.stream_message(engine.sample_store.latest())
+
+
+def test_subscribers_keep_subscription_order():
+    engine = Engine(config())
+    sessions = [Session(key=key, state=SessionState.ESTABLISHED) for key in ("c", "a", "b")]
+    for session in sessions:
+        engine.handle_message(session, inbound(200), now_ms=0)
+    engine.handle_message(sessions[1], inbound(202), now_ms=1)
+    engine.handle_message(sessions[1], inbound(200), now_ms=2)
+    assert list(engine.subscribers) == ["c", "b", "a"]
 
 
 def test_stream_request_out_of_turn_is_unexpected():
     engine = Engine(config())
     session = Session()
     (send,) = engine.handle_message(session, inbound(200), now_ms=0)
-    assert send.envelope.type_code == 600
+    assert send.type_code == 600
     engine2, session2 = established_engine()
     engine2.handle_message(session2, inbound(200), now_ms=0)
     (send2,) = engine2.handle_message(session2, inbound(200), now_ms=1)
-    assert send2.envelope.type_code == 600
+    assert send2.type_code == 600
 
 
 def test_requester_subscription_flags():
     engine, session = established_engine()
     (send,) = engine.request_realtime(session, 0)
-    assert send.envelope.type_code == 200
+    assert send.type_code == 200
     assert session.stream_active
     with pytest.raises(StateError):
         engine.request_realtime(session, 1)
     (send,) = engine.stop_realtime(session, 2)
-    assert send.envelope.type_code == 202
+    assert send.type_code == 202
     assert not session.stream_active
     with pytest.raises(StateError):
         engine.stop_realtime(session, 3)
@@ -274,8 +289,7 @@ def query(timestamp: str, services=("PTU", "WIND", "PRECIPITATION")) -> Envelope
 
 def test_on_demand_hit_returns_stored_sample():
     engine, session = on_demand_engine()
-    (send,) = engine.handle_message(session, query("1970-01-01T00:00:06Z"), now_ms=20000)
-    reply = send.envelope
+    (reply,) = engine.handle_message(session, query("1970-01-01T00:00:06Z"), now_ms=20000)
     assert reply.type_code == 301
     assert reply.data == to_data_block(SampleGenerator().next_sample(6000))
     # header echoes the requested moment, not the serving moment
@@ -286,7 +300,7 @@ def test_on_demand_hit_returns_stored_sample():
 def test_on_demand_miss_is_sample_not_found():
     engine, session = on_demand_engine()
     (send,) = engine.handle_message(session, query("1970-01-01T00:01:00Z"), now_ms=20000)
-    assert send.envelope.type_code == 601
+    assert send.type_code == 601
 
 
 def test_on_demand_unknown_service_is_unavailable():
@@ -297,21 +311,21 @@ def test_on_demand_unknown_service_is_unavailable():
         retrieve=RetrieveRequest(services=("PTU", "SOLAR"), timestamp="1970-01-01T00:00:06Z"),
     )
     (send,) = engine.handle_message(session, bad, now_ms=20000)
-    assert send.envelope.type_code == 602
+    assert send.type_code == 602
 
 
 def test_on_demand_without_a_store_is_unavailable():
     engine, session = established_engine()
     (send,) = engine.handle_message(session, query("1970-01-01T00:00:06Z"), now_ms=0)
-    assert send.envelope.type_code == 602
+    assert send.type_code == 602
 
 
 def test_request_on_demand_builds_query():
     engine, session = established_engine()
     (send,) = engine.request_on_demand(session, ["PTU"], "2011-05-29T12:10:23Z", 0)
-    assert send.envelope.type_code == 201
-    assert send.envelope.retrieve == RetrieveRequest(("PTU",), "2011-05-29T12:10:23Z")
-    assert validate(send.envelope).ok
+    assert send.type_code == 201
+    assert send.retrieve == RetrieveRequest(("PTU",), "2011-05-29T12:10:23Z")
+    assert validate(send).ok
 
 
 # -- closed sessions, errors, exhaustive dispatch -------------------------------------------
@@ -333,33 +347,31 @@ def test_error_statuses_draw_no_reply():
 
 
 def test_exhaustive_dispatch_is_total_and_clean():
-    """Every (state, code) pair yields known actions or listed silence; envelopes validate."""
-    action_types = (SendMessage, CloseSession, StartStream, StopStream)
+    """Every (state, code) pair yields valid envelopes, a lone 600 status or listed silence."""
     for state in SessionState:
         for code in REGISTRY + (640,):
-            engine = Engine(config(), sample_store=SampleStore())
+            store = SampleStore()
+            store.insert(SampleGenerator().next_sample(3000))
+            engine = Engine(config(), sample_store=store)
             session = Session(state=state)
             message = inbound(code, now_ms=5, **payload_for(code, now_ms=5))
-            actions = engine.handle_message(session, message, now_ms=5)
+            replies = engine.handle_message(session, message, now_ms=5)
             if state is SessionState.CLOSED:
-                assert actions == []
+                assert replies == []
                 continue
             if code in SILENT.get(state, ()):
-                assert actions == [], (state, code)
+                assert replies == [], (state, code)
                 continue
-            assert actions, (state, code)
-            for action in actions:
-                assert isinstance(action, action_types), (state, code)
-                if isinstance(action, SendMessage):
-                    report = validate(action.envelope)
-                    assert report.ok, (state, code, report.problems)
-            disallowed = [
-                a.envelope.type_code
-                for a in actions
-                if isinstance(a, SendMessage) and a.envelope.type_code == 600
-            ]
-            if disallowed:
-                assert len(actions) == 1  # a 600 status is the whole answer
+            assert replies, (state, code)
+            for reply in replies:
+                assert isinstance(reply, Envelope), (state, code)
+                report = validate(reply)
+                assert report.ok, (state, code, report.problems)
+            if any(int(reply.type_code) == 600 for reply in replies):
+                assert len(replies) == 1  # a 600 status is the whole answer
+            if (state, code) == (SessionState.ESTABLISHED, 200):
+                # a subscription opens with the stored sample's stream frame
+                assert [int(reply.type_code) for reply in replies] == [300]
 
 
 def test_session_last_rx_follows_messages():
@@ -390,7 +402,7 @@ def test_keep_alive_boundary_is_strict():
     assert engine.keep_alive_sweep([at_budget], now_ms=1500) == []
     assert at_budget.state is SessionState.ESTABLISHED
     over = engine.keep_alive_sweep([at_budget], now_ms=1501)
-    assert len(over) == 1 and isinstance(over[0][1], CloseSession)
+    assert over == [at_budget]
     assert at_budget.state is SessionState.CLOSED
 
 
@@ -398,7 +410,7 @@ def test_keep_alive_closes_a_silent_idle_session_and_ignores_closed():
     engine = Engine(config())
     idle = Session(state=SessionState.IDLE, last_rx=0)
     closed = Session(state=SessionState.CLOSED, last_rx=0)
-    assert engine.keep_alive_sweep([idle, closed], now_ms=10**9) == [(idle, CloseSession("keep-alive expired"))]
+    assert engine.keep_alive_sweep([idle, closed], now_ms=10**9) == [idle]
     assert idle.state is SessionState.CLOSED
 
 
@@ -422,10 +434,13 @@ def test_keep_alive_sweep_matches_brute_force_oracle():
     rng = random.Random(120000)
     engine = Engine(config())
     sessions = []
-    for _ in range(50):
+    for key in range(50):
         state = rng.choice(list(SessionState))
         session = make_session(state, rng.randint(0, 5000), rng.choice([None, rng.randint(1, 4000)]))
+        session.key = key
         session.stream_active = rng.random() < 0.3
+        if state is SessionState.STREAMING:
+            engine.subscribers[key] = None  # as a type 200 would have
         sessions.append(session)
     for now in range(0, 12000, 250):
         expect_closed = set()
@@ -436,11 +451,13 @@ def test_keep_alive_sweep_matches_brute_force_oracle():
             if session.last_rx + budget < now:
                 expect_closed.add(id(session))
         swept = engine.keep_alive_sweep(sessions, now)
-        assert {id(s) for s, _ in swept} == expect_closed
-        for session, action in swept:
+        assert {id(s) for s in swept} == expect_closed
+        for session in swept:
             assert session.state is SessionState.CLOSED
             assert not session.stream_active
-            assert isinstance(action, CloseSession)
+            assert session.key not in engine.subscribers
+        # a STREAMING session the sweep closes leaves the table; the others stay, in order
+        assert list(engine.subscribers) == [s.key for s in sessions if s.state is SessionState.STREAMING]
 
 
 # -- headers -----------------------------------------------------------------------------
@@ -528,5 +545,5 @@ def test_fetch_reply_header_is_the_replaced_header(asked):
     engine.config.port = True  # mistyped: the header must carry it as it is
     (send,) = engine.handle_message(session, query(asked), now_ms=20000)
     before = dataclasses.replace(build_metainfo(engine.config, engine.local_ip, 20000), timestamp=asked)
-    assert typed(send.envelope.meta) == typed(before)
-    assert send.envelope.meta.timestamp == "1970-01-01T00:00:06Z"
+    assert typed(send.meta) == typed(before)
+    assert send.meta.timestamp == "1970-01-01T00:00:06Z"

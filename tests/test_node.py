@@ -228,7 +228,7 @@ def test_stream_fan_out_and_cadence():
     outputs = pump(alice, bob, alice.request_realtime("conn", 1500), 1500)
     # the freshest stored sample goes out immediately on subscription
     assert [decode(o.frame).type_code for o in outputs] == [300]
-    assert list(bob.subscribers) == ["conn"]
+    assert list(bob.engine.subscribers) == ["conn"]
     due = bob.next_due_ms()
     assert due == 2000
     ticked = [o for o in bob.on_tick(2000) if isinstance(o, Outbound)]
@@ -238,7 +238,7 @@ def test_stream_fan_out_and_cadence():
     # unsubscribing stops the fan-out
     confirm = pump(alice, bob, alice.stop_realtime("conn", 2500), 2500)
     assert [decode(o.frame).type_code for o in confirm] == [500]
-    assert list(bob.subscribers) == []
+    assert list(bob.engine.subscribers) == []
     assert all(not isinstance(o, Outbound) for o in bob.on_tick(3000))
 
 
@@ -250,7 +250,7 @@ def test_stream_fan_out_follows_subscription_order():
     for key in keys:
         pump(bob, alice, pump(alice, bob, alice.connect(key, 0), 0), 0)
         pump(alice, bob, alice.request_realtime(key, 500), 500)
-    assert list(bob.subscribers) == keys
+    assert list(bob.engine.subscribers) == keys
     assert [o.key for o in bob.on_tick(1000) if isinstance(o, Outbound)] == keys
 
 
@@ -287,6 +287,7 @@ def test_keep_alive_sweep_hangs_up_quiet_sessions():
     outputs = bob.on_tick(2001 + 999)  # next sweep tick after the budget lapses
     hangups = [o for o in outputs if isinstance(o, Hangup)]
     assert len(hangups) == 1 and hangups[0].key == "conn"
+    assert hangups[0].reason == "keep-alive expired"
     assert "conn" not in bob.sessions
     # a closed session swallows further frames
     assert bob.on_frame("conn", encode(alice.engine.status_message(102, 4000)), 4000) == []
@@ -311,9 +312,9 @@ def test_disconnect_clears_subscription():
     alice, bob = established_pair()
     bob.on_tick(1000)
     pump(alice, bob, alice.request_realtime("conn", 1500), 1500)
-    assert list(bob.subscribers) == ["conn"]
+    assert list(bob.engine.subscribers) == ["conn"]
     bob.on_disconnect("conn", 1600)
-    assert list(bob.subscribers) == []
+    assert list(bob.engine.subscribers) == []
     assert "conn" not in bob.sessions
 
 

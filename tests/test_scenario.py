@@ -62,6 +62,16 @@ def test_parse_fills_in_defaults():
     assert scenario.start_ms == 0
 
 
+def test_auto_addresses_carry_past_the_last_octet():
+    nodes = "".join("node n%d\n" % n for n in range(300))
+    runner = SimRunner(parse_scenario(nodes + "link n255 n0 latency_ms=1 bandwidth=56000\nat 0 n255 handshake n0\n"))
+    ips = {name: node.runtime.engine.local_ip for name, node in runner.nodes.items()}
+    assert (ips["n0"], ips["n254"], ips["n255"], ips["n299"]) == ("10.0.0.1", "10.0.0.255", "10.0.1.0", "10.0.1.44")
+    assert len(set(ips.values())) == 300
+    reply = [e for e in runner.run(until_ms=1000) if e.kind == "recv" and e.dst == "n255"]
+    assert [e.code for e in reply] == [101]
+
+
 def test_parse_reads_node_attributes():
     text = (
         'node relay seed=42 ip=192.0.2.7 port=7777 bandwidth=1 '

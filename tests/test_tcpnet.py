@@ -469,9 +469,9 @@ def test_a_reader_that_stalls_neither_delays_others_nor_stays_connected(monkeypa
         client.handshake()
         assert time.monotonic() - started < 1.0
         deadline = time.monotonic() + 5.0
-        while server.runtime.subscribers and time.monotonic() < deadline:
+        while server.runtime.engine.subscribers and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert not server.runtime.subscribers
+        assert not server.runtime.engine.subscribers
         # what the kernel already held arrives, then the end of the stream
         try:
             while stalled.recv(65536):
