@@ -22,24 +22,34 @@ One memo keeps what a node sends again and again in its peer listings: up
 to 1,024 clean listing members, node id -> (PeerEntry, text), cleared when
 full.  For those exact entries validate skips their checks and encode skips
 rendering them; every header is checked and rendered each time, and encode
-still runs validate on every envelope before encoding it.  Decoding parses
-with one shared JSON decoder and walks the tree once, driven by the same
-tables.
+still runs validate on every envelope before encoding it.
 
-The decoder is liberal: arbitrary whitespace and key order, numeric fields
-quoted as strings, timestamps with or without the trailing "Z", and the
-historical spellings of the on-demand query (key "Retrive", or the query
-nested inside "Data").  A quoted numeric, like each Location coordinate,
-must still be an ASCII numeral, an optional "-" then digits (validate
-reports a negative value, not decode).  Leading zeros are accepted and
-read as their value, so "005" is 5 and re-encodes as 5; a sign "+", a
-"_" separator, surrounding whitespace or a non-ASCII digit is refused.
+Decoding parses with one shared JSON decoder and walks the tree once,
+driven by the same tables: each fixed-key object is read through its key
+table in one call and built positionally.  The walk also collects the
+problems validate would report on the envelope it builds, leaving out the
+checks it has made true itself: a decoded measurement is always a str and
+a decoded header numeric always an int.  decode drops those problems;
+decode_checked, which a node runs on every inbound frame, refuses a frame
+that has any, with the message and in the order validate gives them.
+
+The decoder is liberal: arbitrary whitespace between JSON tokens and any
+key order, numeric fields quoted as strings, timestamps with or without
+the trailing "Z", and the historical spellings of the on-demand query (key
+"Retrive", or the query nested inside "Data").  A quoted numeric, like
+each Location coordinate, must still be an ASCII numeral, an optional "-"
+then digits (validate reports a negative value, not decode).  Leading
+zeros are accepted and read as their value, so "005" is 5 and re-encodes
+as 5; a sign "+", a "_" separator, surrounding whitespace or a non-ASCII
+digit is refused.  A Location is exactly three tokens (northing, easting,
+zone) one ASCII space apart, with no whitespace around them, so that it
+re-encodes as the bytes it arrived as.
 
 The "Data" schema lives in one table, MEASUREMENTS: one row per field,
 naming its group, its attribute on the group's block, its path on the
 wire, its NormalizedSample attribute and its missing-value default.
-The compiled encoder, the decoder and the vendor sample mapping all read
-that table, so a new measurement is still one row here plus the
+The compiled encoder, the decoding walk and the vendor sample mapping all
+read that table, so a new measurement is still one row here plus the
 attribute it names on the block and sample dataclasses.
 """
 
@@ -50,7 +60,7 @@ import ipaddress
 import json
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import IntEnum
 from json.encoder import encode_basestring as _quote  # the C escaper of json.dumps(ensure_ascii=False)
@@ -136,6 +146,7 @@ _TIMESTAMP_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{
 _ZONE_RE = re.compile(r"[0-9]{1,2}[A-Z]")
 _VERSION_RE = re.compile(r"OpenWeather/[0-9]+\.[0-9]+")
 _NUMERAL_RE = re.compile(r"-?[0-9]+")  # int() alone also takes "+", "_", spaces and non-ASCII digits
+_LOCATION_RE = re.compile(r"(\S+) (\S+) (\S+)")  # three tokens, one ASCII space apart
 
 
 def format_timestamp(epoch_ms: int) -> str:
@@ -155,8 +166,9 @@ def parse_timestamp(text: str) -> int:
 
 
 def _normalized_timestamp(text: str) -> str:
-    # store the emitted form (with Z) whenever the text parses at all
-    if isinstance(text, str):
+    # store the emitted form (with Z) whenever the text parses at all; a text
+    # ending in Z already is in that form or does not parse
+    if isinstance(text, str) and not text.endswith("Z"):
         found = _TIMESTAMP_RE.fullmatch(text)
         if found is not None and not found.group(7):
             return text + "Z"
@@ -176,16 +188,22 @@ class UtmLocation:
 
     @classmethod
     def parse(cls, text: str) -> "UtmLocation":
-        parts = text.split()
-        if len(parts) != 3:
-            raise ValueError("location needs three tokens: %r" % (text,))
-        northing, easting, zone = parts
-        if _NUMERAL_RE.fullmatch(northing) and _NUMERAL_RE.fullmatch(easting):
-            try:
-                return cls(int(northing, 10), int(easting, 10), zone)
-            except ValueError:  # past int()'s digit limit
-                pass
-        raise ValueError("location coordinates must be integers: %r" % (text,))
+        if cls is UtmLocation and type(text) is str and len(text) <= _MEMO_LEN:
+            return _location_text_parse(text)  # a peer sends the same Location in every frame
+        return _parse_location(cls, text)
+
+
+def _parse_location(cls, text: str) -> UtmLocation:
+    found = _LOCATION_RE.fullmatch(text)
+    if found is None:
+        raise ValueError("location needs three tokens: %r" % (text,))
+    northing, easting, zone = found.groups()
+    if _NUMERAL_RE.fullmatch(northing) and _NUMERAL_RE.fullmatch(easting):
+        try:
+            return cls(int(northing, 10), int(easting, 10), zone)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise ValueError("location coordinates must be integers: %r" % (text,))
 
 
 @dataclass(frozen=True)
@@ -294,21 +312,6 @@ MEASUREMENT_GROUPS = {
 }
 
 
-def _by_holder(rows) -> tuple:
-    # ((keys of the object holding the values, ((wire key, block field, default), ...)), ...)
-    held = {}
-    for row in rows:
-        held.setdefault(row.path[:-1], []).append((row.path[-1], row.field, row.default))
-    return tuple((keys, tuple(leaves)) for keys, leaves in held.items())
-
-
-# the decoder's walk over "Data", worked out once so that decoding a message
-# does no path slicing: (group, wire key, block type, fields by holding object)
-_DATA_LAYOUT = tuple(
-    (name, rows[0].wire_group, block, _by_holder(rows)) for name, (block, rows) in MEASUREMENT_GROUPS.items()
-)
-
-
 @dataclass(frozen=True)
 class PeerEntry:
     """One row of a peer listing: how to reach a node."""
@@ -403,15 +406,17 @@ def _timestamp_check(value) -> bool:
     return True
 
 
-# A node sees the same few addresses and seconds over and over, so the checks
-# of exact str values are memoised.  Another value may be unhashable, and a str
-# subclass hashes like its text yet ipaddress reads it through its __str__.
-# Only text up to _MEMO_LEN characters is kept: any address or timestamp fits,
-# while a longer string from a peer (a frame may hold up to 64 KiB) stays
-# unreferenced once its frame is handled.
+# A node sees the same few addresses, Locations and seconds over and over, so
+# their checks, and the Location parse, are memoised for exact str values.
+# Another value may be unhashable, and a str subclass hashes like its text yet
+# ipaddress reads it through its __str__.  Only text up to _MEMO_LEN
+# characters is kept: any address, timestamp or usual Location fits, while a
+# longer string from a peer (a frame may hold up to 64 KiB) stays unreferenced
+# once its frame is handled.  A parse that fails is not kept.
 _MEMO_LEN = 64
 _address_text_check = functools.lru_cache(maxsize=1024)(_address_check)
 _timestamp_text_check = functools.lru_cache(maxsize=1024)(_timestamp_check)
+_location_text_parse = functools.lru_cache(maxsize=1024)(functools.partial(_parse_location, UtmLocation))
 
 
 def _is_address(value) -> bool:
@@ -534,13 +539,7 @@ def _info_problems(info: InfoPayload) -> list:
     if info.services is not None and info.peers is not None:
         problems.append("info payload carries both variants")
     if info.services is not None:
-        if not info.services:
-            problems.append("service catalog empty")
-        for name, flags in info.services.items():
-            if name not in SERVICES:
-                problems.append("unknown service %r" % (name,))
-            if flags not in SERVICE_FLAGS:
-                problems.append("bad service flags %r" % (flags,))
+        _catalog_problems(info.services, problems)
     if info.peers is not None:
         if len(info.peers) > 100:
             problems.append("peer listing above 100 entries")
@@ -550,18 +549,32 @@ def _info_problems(info: InfoPayload) -> list:
                 known = members.get(node_id)
                 if known is not None and known[0] is entry:
                     continue
-            if not is_node_id(node_id):
-                problems.append("peer id %r is not 64 lowercase hex characters" % (node_id,))
-            if not isinstance(entry, PeerEntry):
-                problems.append("peer entry for %r malformed" % (node_id,))
-                continue
-            if not isinstance(entry.port, int) or not 1 <= entry.port <= 65535:
-                problems.append("peer port %r out of range" % (entry.port,))
-            if not isinstance(entry.bandwidth, int) or entry.bandwidth < 0:
-                problems.append("peer bandwidth below 0")
-            if not _is_address(entry.peer_ip):
-                problems.append("peer ip %r is not a valid address" % (entry.peer_ip,))
+            _entry_problems(node_id, entry, problems)
     return problems
+
+
+def _catalog_problems(services: dict, problems: list) -> None:
+    if not services:
+        problems.append("service catalog empty")
+    for name, flags in services.items():
+        if name not in SERVICES:
+            problems.append("unknown service %r" % (name,))
+        if flags not in SERVICE_FLAGS:
+            problems.append("bad service flags %r" % (flags,))
+
+
+def _entry_problems(node_id, entry, problems: list) -> None:
+    if not is_node_id(node_id):
+        problems.append("peer id %r is not 64 lowercase hex characters" % (node_id,))
+    if not isinstance(entry, PeerEntry):
+        problems.append("peer entry for %r malformed" % (node_id,))
+        return
+    if not isinstance(entry.port, int) or not 1 <= entry.port <= 65535:
+        problems.append("peer port %r out of range" % (entry.port,))
+    if not isinstance(entry.bandwidth, int) or entry.bandwidth < 0:
+        problems.append("peer bandwidth below 0")
+    if not _is_address(entry.peer_ip):
+        problems.append("peer ip %r is not a valid address" % (entry.peer_ip,))
 
 
 def _retrieve_problems(retrieve: RetrieveRequest) -> list:
@@ -789,55 +802,190 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _fields(member: dict, table: tuple, where: str) -> dict:
-    """attribute -> value for each (wire key, attribute, wire type) row, checked in table order."""
-    fields = {}
-    for key, attr, kind in table:
-        value = _require(member, key, where)
-        fields[attr] = _as_int(value, key) if kind is int else _as_str(value, key)
-    return fields
+# The decoder's walk, compiled once from the tables above as encoding is.  Each
+# fixed-key object is read through a key table: the values of its keys in one
+# call, taken as they are when each already holds its wire type, and built
+# into its dataclass by position, so the table's order must be the dataclass's.
 
 
-def _meta_from_wire(member) -> MetaInfo:
-    if not isinstance(member, dict):
-        raise SchemaError('"MetaInfo" is not an object')
-    location_text = _as_str(_require(member, "Location", "MetaInfo"), "Location")
+def _items(keys: tuple):
+    # the values at keys of a dict as a tuple, even for a single key; KeyError if one is absent
+    get = operator.itemgetter(*keys)
+    return get if len(keys) > 1 else lambda mapping: (get(mapping),)
+
+
+def _declared(cls, attrs) -> None:
+    names = tuple(field.name for field in fields(cls))
+    if names != tuple(attrs):
+        raise TypeError("%s declares %r, its decoding table reads %r" % (cls.__name__, names, tuple(attrs)))
+
+
+def _reader(table: tuple) -> tuple:
+    # (read the values of table's keys, their wire types) for a table of (wire key, attribute, wire type)
+    return _items(tuple(key for key, _, _ in table)), tuple(kind for _, _, kind in table)
+
+
+# MetaInfo's members in its field order; the walk reads "Location" with the
+# rest, as text, and parses it in its place
+_LOCATION_AT = [field.name for field in fields(MetaInfo)].index("location")
+_META_MEMBERS = (*_META_KEYS[:_LOCATION_AT], ("Location", "location", str), *_META_KEYS[_LOCATION_AT:])
+_declared(MetaInfo, [attr for _, attr, _ in _META_MEMBERS])
+_declared(PeerEntry, [attr for _, attr, _ in _PEER_KEYS])
+_META_READ = _reader(_META_MEMBERS)
+_PEER_READ = _reader(_PEER_KEYS)
+
+
+def _holders(block, rows) -> tuple:
+    # ((keys of the object holding the values, read its leaves, ((leaf key, default), ...)), ...)
+    held = {}
+    for row in rows:
+        held.setdefault(row.path[:-1], []).append(row)
+    _declared(block, [row.field for leaves in held.values() for row in leaves])
+    return tuple(
+        (keys, _items(tuple(row.path[-1] for row in leaves)), tuple((row.path[-1], row.default) for row in leaves))
+        for keys, leaves in held.items()
+    )
+
+
+# "Data" groups in WeatherData's field order: (wire key, block type, holders)
+_DATA_WALK = tuple((rows[0].wire_group, block, _holders(block, rows)) for block, rows in MEASUREMENT_GROUPS.values())
+_declared(WeatherData, MEASUREMENT_GROUPS)
+
+
+def _typed(member: dict, reader: tuple):
+    """The values of the reader's keys in member when each holds its wire type, else None."""
+    read, kinds = reader
     try:
-        location = UtmLocation.parse(location_text)
+        values = read(member)
+    except KeyError:
+        return None
+    return values if tuple(map(type, values)) == kinds else None
+
+
+def _one_by_one(member: dict, table: tuple, where: str) -> list:
+    """The values of table's keys in member, in table order, each read as its wire type.
+
+    The first absent or mistyped member, in table order, is the SchemaError.
+    """
+    return [_member(member, key, kind, where) for key, _, kind in table]
+
+
+def _member(member: dict, key: str, kind, where: str):
+    value = _require(member, key, where)
+    return _as_int(value, key) if kind is int else _as_str(value, key)
+
+
+def _location(text: str) -> UtmLocation:
+    try:
+        return UtmLocation.parse(text)
     except ValueError as exc:
         raise SchemaError('"Location" malformed: %s' % exc)
-    return MetaInfo(location=location, **_fields(member, _META_KEYS, "MetaInfo"))
 
 
-def _group_values(group, wire_key: str, keys: tuple) -> dict:
-    """Leaf values of the object at keys inside a group; an absent object reads as empty."""
-    member, where = group, wire_key
-    for key in keys:
-        if not isinstance(member, dict):
-            raise SchemaError('"%s" is not an object' % where)
-        member, where = member.get(key, {}), key
+def _walk_meta(member, problems: list) -> MetaInfo:
     if not isinstance(member, dict):
-        raise SchemaError('"%s" is not an object' % where)
-    return {key: _as_str(value, key) for key, value in member.items() if not isinstance(value, dict)}
+        raise SchemaError('"MetaInfo" is not an object')
+    values = _typed(member, _META_READ)
+    if values is None:  # "Location" is checked first, then _META_KEYS in order
+        _location(_member(member, "Location", str, "MetaInfo"))
+        values = _one_by_one(member, _META_MEMBERS, "MetaInfo")
+    values = list(values)
+    values[_LOCATION_AT] = _location(values[_LOCATION_AT])
+    meta = MetaInfo(*values)
+    _header_problems(meta, problems)
+    return meta
 
 
-def _data_from_wire(member) -> WeatherData | None:
+def _header_problems(meta: MetaInfo, problems: list) -> None:
+    """validate's header checks, on a header the walk built.
+
+    Its numerics and coordinates are int and its zone a str, so the type
+    checks of _meta_problems are left out; the problems and their order are
+    the same.
+    """
+    if not is_node_id(meta.node_id):
+        problems.append("node id is not 64 lowercase hex characters")
+    if not _is_address(meta.peer_ip):
+        problems.append("peer ip %r is not a valid address" % (meta.peer_ip,))
+    if not 1 <= meta.port <= 65535:
+        problems.append("port %r out of range 1..65535" % (meta.port,))
+    location = meta.location
+    if location.northing < 0:
+        problems.append("location northing negative")
+    if location.easting < 0:
+        problems.append("location easting negative")
+    if not _ZONE_RE.fullmatch(location.zone):
+        problems.append("location zone malformed")
+    if meta.update_interval_ms <= 0:
+        problems.append("update interval not positive")
+    if meta.peers_requested < 1:
+        problems.append("peers_requested below 1")
+    elif meta.peers_requested > 100:
+        problems.append("peers_requested above 100")
+    if meta.keep_alive_ms <= 0:
+        problems.append("keep alive not positive")
+    if meta.bandwidth < 0:
+        problems.append("bandwidth below 0")
+    if not _is_timestamp(meta.timestamp):
+        problems.append("timestamp malformed")
+    if not _VERSION_RE.fullmatch(meta.version):
+        problems.append("version malformed")
+
+
+def _walk_data(member) -> WeatherData | None:
     if not isinstance(member, dict):
         raise SchemaError('"Data" is not an object')
-    blocks = {}
-    for name, wire_key, block, holders in _DATA_LAYOUT:
+    blocks = []
+    present = False
+    for wire_key, block, holders in _DATA_WALK:
         if wire_key not in member:
+            blocks.append(None)
             continue
-        values = {}
-        for keys, leaves in holders:
-            found = _group_values(member[wire_key], wire_key, keys)
-            for leaf, field, default in leaves:
-                values[field] = found.get(leaf, default)
-        blocks[name] = block(**values)
-    return WeatherData(**blocks) if blocks else None
+        group = member[wire_key]
+        values = []
+        try:  # most often each holding object has exactly its leaves, each a string
+            for keys, read, leaves in holders:
+                holder = group
+                for key in keys:
+                    holder = holder[key]
+                if len(holder) != len(leaves):
+                    raise KeyError  # another member, which the careful read checks too
+                values += read(holder)
+            "".join(values)  # a TypeError unless every value is a str
+        except (KeyError, TypeError):
+            values = _group_leaves(group, wire_key, holders)
+        blocks.append(block(*values))
+        present = True
+    return WeatherData(*blocks) if present else None
 
 
-def _info_from_wire(member) -> InfoPayload:
+def _group_leaves(group, wire_key: str, holders: tuple) -> list:
+    """The values of a group's leaves, in table order, read one by one.
+
+    An absent holding object reads as empty.  An absent leaf, or an object
+    in its place, reads as its default and a number as its text.  A holding
+    object that is not an object, or a member of one that is neither a
+    string, a number nor an object, is a SchemaError.
+    """
+    values = []
+    for keys, _, leaves in holders:
+        holder, where = group, wire_key
+        for key in keys:
+            if not isinstance(holder, dict):
+                raise SchemaError('"%s" is not an object' % where)
+            holder, where = holder.get(key, {}), key
+        if not isinstance(holder, dict):
+            raise SchemaError('"%s" is not an object' % where)
+        for key, value in holder.items():
+            if not isinstance(value, dict):
+                _as_str(value, key)
+        for key, default in leaves:
+            value = holder.get(key, default)
+            values.append(default if isinstance(value, dict) else _as_str(value, key))
+    return values
+
+
+def _walk_info(member, problems: list) -> InfoPayload:
     if not isinstance(member, dict):
         raise SchemaError('"Info" is not an object')
     if "Services" in member and "Peers" in member:
@@ -846,21 +994,29 @@ def _info_from_wire(member) -> InfoPayload:
         catalog = member["Services"]
         if not isinstance(catalog, dict):
             raise SchemaError('"Services" is not an object')
-        return InfoPayload(services={k: _as_str(v, k) for k, v in catalog.items()})
+        services = {k: _as_str(v, k) for k, v in catalog.items()}
+        _catalog_problems(services, problems)
+        return InfoPayload(services=services)
     if "Peers" in member:
         listing = member["Peers"]
         if not isinstance(listing, dict):
             raise SchemaError('"Peers" is not an object')
+        if len(listing) > 100:
+            problems.append("peer listing above 100 entries")
         peers = {}
         for node_id, raw in listing.items():
             if not isinstance(raw, dict):
                 raise SchemaError("peer entry %r is not an object" % (node_id,))
-            peers[node_id] = PeerEntry(**_fields(raw, _PEER_KEYS, "peer entry"))
+            values = _typed(raw, _PEER_READ)
+            if values is None:
+                values = _one_by_one(raw, _PEER_KEYS, "peer entry")
+            entry = peers[node_id] = PeerEntry(*values)
+            _entry_problems(node_id, entry, problems)
         return InfoPayload(peers=peers)
     raise SchemaError('"Info" carries neither "Services" nor "Peers"')
 
 
-def _retrieve_from_wire(member) -> RetrieveRequest:
+def _walk_retrieve(member, problems: list) -> RetrieveRequest:
     if not isinstance(member, dict):
         raise SchemaError('"Retrieve" is not an object')
     wanted = member.get("D", [])
@@ -870,7 +1026,9 @@ def _retrieve_from_wire(member) -> RetrieveRequest:
         raise SchemaError('"D" is not a list of service names')
     services = tuple(_as_str(item, "D") for item in wanted)
     timestamp = _as_str(_require(member, "Timestamp", "Retrieve"), "Timestamp")
-    return RetrieveRequest(services=services, timestamp=timestamp)
+    retrieve = RetrieveRequest(services, timestamp)
+    problems += _retrieve_problems(retrieve)
+    return retrieve
 
 
 # one parser for every frame: json.loads(text, parse_float=str) builds a new one per call;
@@ -878,12 +1036,8 @@ def _retrieve_from_wire(member) -> RetrieveRequest:
 _JSON = json.JSONDecoder(parse_float=str)
 
 
-def decode(raw) -> Envelope:
-    """Parse wire bytes (or text) into an Envelope.
-
-    Raises ParseError for bad JSON, SchemaError for missing or mistyped
-    members, UnknownCodeError for a Type outside the registry.
-    """
+def _parse(raw):
+    """The JSON tree of wire bytes (or text)."""
     if isinstance(raw, (bytes, bytearray)):
         try:
             text = raw.decode("utf-8")
@@ -896,11 +1050,19 @@ def decode(raw) -> Envelope:
     try:
         if text.startswith("\ufeff"):  # json.loads refuses a byte order mark; the decoder alone would not
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        tree = _JSON.decode(text)
+        return _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON at offset %d: %s" % (exc.pos, exc.msg), offset=exc.pos)
     except (RecursionError, ValueError) as exc:  # nesting too deep, integer literal too long
         raise ParseError("unparseable JSON: %s" % exc)
+
+
+def _walk(raw) -> tuple:
+    """The one walk of a frame: (its Envelope, the problems validate reports on it).
+
+    Raises what decode documents for a frame that does not decode.
+    """
+    tree = _parse(raw)
     if not isinstance(tree, dict) or "OpenWeatherMessage" not in tree:
         raise SchemaError('missing "OpenWeatherMessage" member')
     body = tree["OpenWeatherMessage"]
@@ -909,7 +1071,8 @@ def decode(raw) -> Envelope:
     code = _as_int(_require(body, "Type", "OpenWeatherMessage"), "Type")
     if not is_registered(code):
         raise UnknownCodeError(code)
-    meta = _meta_from_wire(_require(body, "MetaInfo", "OpenWeatherMessage"))
+    problems = []  # in validate's order: header, payload count, payload, payload rule
+    meta = _walk_meta(_require(body, "MetaInfo", "OpenWeatherMessage"), problems)
 
     data_member = body.get("Data")
     retrieve_member = body.get("Retrieve", body.get("Retrive"))
@@ -919,7 +1082,33 @@ def decode(raw) -> Envelope:
             retrieve_member = nested
             data_member = {k: v for k, v in data_member.items() if k not in ("Retrieve", "Retrive")}
 
-    data = _data_from_wire(data_member) if data_member is not None else None
-    info = _info_from_wire(body["Info"]) if "Info" in body else None
-    retrieve = _retrieve_from_wire(retrieve_member) if retrieve_member is not None else None
-    return Envelope(type_code=code, meta=meta, data=data, info=info, retrieve=retrieve)
+    # a decoded "Data" always holds str measurements in at least one group, so it has no problems
+    data = _walk_data(data_member) if data_member is not None else None
+    if (data is not None) + ("Info" in body) + (retrieve_member is not None) > 1:
+        problems.append("more than one payload present")
+    info = _walk_info(body["Info"], problems) if "Info" in body else None
+    retrieve = _walk_retrieve(retrieve_member, problems) if retrieve_member is not None else None
+    envelope = Envelope(code, meta, data, info, retrieve)
+    problems += _payload_rule_problems(envelope)
+    return envelope, problems
+
+
+def decode(raw) -> Envelope:
+    """Parse wire bytes (or text) into an Envelope, liberally and unchecked.
+
+    Raises ParseError for bad JSON, SchemaError for missing or mistyped
+    members, UnknownCodeError for a Type outside the registry.
+    """
+    return _walk(raw)[0]
+
+
+def decode_checked(raw) -> Envelope:
+    """decode, then refuse an envelope that validate would find problems in.
+
+    Raises what decode raises, or SchemaError("invalid envelope: ...")
+    listing the problems as validate reports them.
+    """
+    envelope, problems = _walk(raw)
+    if problems:
+        raise SchemaError("invalid envelope: " + "; ".join(problems))
+    return envelope

@@ -7,9 +7,9 @@ NodeServer drives a NodeRuntime from one thread: one selectors loop over
 non-blocking sockets that sleeps until a socket is ready or the runtime's
 next timer is due.  A peer whose unsent backlog passes MAX_BACKLOG is
 dropped.  PeerClient runs one-shot operations over a NodeRuntime of its
-own: it decodes and validates each reply once, then passes it to
-NodeRuntime.on_envelope, which runs the server's on_frame step from
-dispatch on.
+own: it decodes and checks each reply once, in decode_checked's one walk,
+then passes it to NodeRuntime.on_envelope, which runs the server's
+on_frame step from dispatch on.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import threading
 import time
 import types
 
-from .codec import Envelope, SchemaError, decode, validate
+from .codec import Envelope, decode_checked
 from .engine import NodeConfig, ProtocolCode
 from .node import NodeRuntime, Outbound
 
@@ -226,17 +226,13 @@ class PeerClient:
 
     def recv(self) -> Envelope:
         """Next inbound message, once the runtime has answered it; raises
-        a CodecError for one that does not decode or validate."""
+        a CodecError for one that decode_checked refuses."""
         while not self._inbox:
             data = self.sock.recv(65536)
             if not data:
                 raise ConnectionError("connection closed by remote node")
             self._inbox.extend(self._splitter.feed(data))
-        frame = self._inbox.pop(0)
-        envelope = decode(frame)
-        report = validate(envelope)
-        if not report.ok:
-            raise SchemaError("invalid reply: %s" % "; ".join(report.problems))
+        envelope = decode_checked(self._inbox.pop(0))
         self._write(self.runtime.on_envelope(self._remote, envelope, time_ms()))
         return envelope
 

@@ -275,11 +275,20 @@ CHECKED_TEXT = {
 }
 
 
+# whitespace other than the one ASCII space between a Location's tokens
+OTHER_SPACES = ("\u2003", "\u00a0", "\t", "\x1c", "  ")
+
+
 @st.composite
-def tainted(draw, text: str, newline: bool = True) -> str:
-    """text ending in a newline, or with one of its digits swapped for a non-ASCII digit."""
-    if newline and draw(st.booleans()):
+def tainted(draw, text: str) -> str:
+    """text ending in a newline, with one of its digits swapped for a non-ASCII
+    digit, or with one of its spaces swapped for other whitespace."""
+    taint = draw(st.sampled_from(("newline", "digit", "space") if " " in text else ("newline", "digit")))
+    if taint == "newline":
         return text + "\n"
+    if taint == "space":
+        at = draw(st.sampled_from([at for at, char in enumerate(text) if char == " "]))
+        return text[:at] + draw(st.sampled_from(OTHER_SPACES)) + text[at + 1 :]
     at = draw(st.sampled_from([at for at, char in enumerate(text) if char in "0123456789"]))
     return text[:at] + draw(st.sampled_from(FOREIGN_DIGITS)) + text[at + 1 :]
 
@@ -321,10 +330,11 @@ WIRE_TEXT = {
 
 
 @given(st.sampled_from(sorted(WIRE_TEXT)).flatmap(
-    # the Location splits on whitespace, so only a digit taints it
-    lambda key: st.tuples(st.just(key), tainted(WIRE_TEXT[key][0], newline=key != "Location"))
+    lambda key: st.tuples(st.just(key), tainted(WIRE_TEXT[key][0]))
 ))
 @example(("Location", "\u0661 385565 \u0663\u0665V"))
+@example(("Location", "6672224\u2003385565 35V"))
+@example(("Location", "6672224 385565 35V\n"))
 def test_a_frame_with_a_tainted_field_is_refused(case):
     key, text = case
     clean, last = WIRE_TEXT[key]
@@ -337,7 +347,7 @@ def test_a_frame_with_a_tainted_field_is_refused(case):
     try:
         envelope = decode(frame)
     except SchemaError:
-        return  # a coordinate that is not an integer in ASCII digits
+        return  # a Location whose tokens or coordinates are malformed
     assert not validate(envelope).ok
 
 
@@ -595,6 +605,32 @@ def test_location_coordinates_must_be_ascii_digits(location):
         UtmLocation.parse(location)
     with pytest.raises(SchemaError, match='"Location" malformed'):
         decode(frame_with({"Location": location}))
+
+
+# each decoded and re-encoded as "5 2 35V" before the separator rule
+LOOSE_LOCATIONS = ("5\u20032 35V", "5\x1c2 35V", " 5  2\t35V ", "5 2 35V\n", "5  2 35V", "5 2\u00a035V", "\t5 2 35V")
+
+
+@pytest.mark.parametrize("location", LOOSE_LOCATIONS)
+def test_location_tokens_are_one_ascii_space_apart(location):
+    with pytest.raises(ValueError, match="location needs three tokens"):
+        UtmLocation.parse(location)
+    with pytest.raises(SchemaError, match='"Location" malformed: location needs three tokens'):
+        decode(frame_with({"Location": location}))
+
+
+def test_location_parse_is_memoised_for_short_exact_text():
+    codec._location_text_parse.cache_clear()
+    text = "6672224 385565 35V"
+    first = UtmLocation.parse(text)
+    assert UtmLocation.parse("".join(text)) is first
+    assert codec._location_text_parse.cache_info().hits == 1
+    long_text = "1" * 100 + " 2 35V"  # longer than a memo key may be
+    assert UtmLocation.parse(long_text) == UtmLocation(int("1" * 100), 2, "35V")
+    assert codec._location_text_parse.cache_info().currsize == 1
+    with pytest.raises(ValueError):
+        UtmLocation.parse(text + " ")  # a refusal is never kept
+    assert codec._location_text_parse.cache_info().currsize == 1
 
 
 def test_a_quoted_minus_sign_is_left_for_validate_to_report():

@@ -173,13 +173,13 @@ def test_client_decodes_each_reply_once(monkeypatch):
     decoded = []
 
     def counting(module):
-        original = module.decode
+        original = module.decode_checked
 
         def decode_and_count(frame):
             decoded.append(frame)
             return original(frame)
 
-        monkeypatch.setattr(module, "decode", decode_and_count)
+        monkeypatch.setattr(module, "decode_checked", decode_and_count)
 
     counting(tcpnet)  # the client's replies
     counting(node)  # the server's requests
