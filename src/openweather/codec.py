@@ -27,9 +27,10 @@ still runs validate on every envelope before encoding it.
 Decoding parses with one shared JSON decoder and walks the tree once,
 driven by the same tables: each fixed-key object is read through its key
 table in one call and built positionally.  The walk also collects the
-problems validate would report on the envelope it builds, leaving out the
-checks it has made true itself: a decoded measurement is always a str and
-a decoded header numeric always an int.  decode drops those problems;
+problems validate would report on the envelope it builds, through
+validate's own checks, except for "Data", whose checks the walk has made
+true itself: a decoded "Data" holds at least one group, and each of its
+measurements is a str.  decode drops those problems;
 decode_checked, which a node runs on every inbound frame, refuses a frame
 that has any, with the message and in the order validate gives them.
 
@@ -188,22 +189,16 @@ class UtmLocation:
 
     @classmethod
     def parse(cls, text: str) -> "UtmLocation":
-        if cls is UtmLocation and type(text) is str and len(text) <= _MEMO_LEN:
-            return _location_text_parse(text)  # a peer sends the same Location in every frame
-        return _parse_location(cls, text)
-
-
-def _parse_location(cls, text: str) -> UtmLocation:
-    found = _LOCATION_RE.fullmatch(text)
-    if found is None:
-        raise ValueError("location needs three tokens: %r" % (text,))
-    northing, easting, zone = found.groups()
-    if _NUMERAL_RE.fullmatch(northing) and _NUMERAL_RE.fullmatch(easting):
-        try:
-            return cls(int(northing, 10), int(easting, 10), zone)
-        except ValueError:  # past int()'s digit limit
-            pass
-    raise ValueError("location coordinates must be integers: %r" % (text,))
+        found = _LOCATION_RE.fullmatch(text)
+        if found is None:
+            raise ValueError("location needs three tokens: %r" % (text,))
+        northing, easting, zone = found.groups()
+        if _NUMERAL_RE.fullmatch(northing) and _NUMERAL_RE.fullmatch(easting):
+            try:
+                return cls(int(northing, 10), int(easting, 10), zone)
+            except ValueError:  # past int()'s digit limit
+                pass
+        raise ValueError("location coordinates must be integers: %r" % (text,))
 
 
 @dataclass(frozen=True)
@@ -406,17 +401,15 @@ def _timestamp_check(value) -> bool:
     return True
 
 
-# A node sees the same few addresses, Locations and seconds over and over, so
-# their checks, and the Location parse, are memoised for exact str values.
-# Another value may be unhashable, and a str subclass hashes like its text yet
-# ipaddress reads it through its __str__.  Only text up to _MEMO_LEN
-# characters is kept: any address, timestamp or usual Location fits, while a
-# longer string from a peer (a frame may hold up to 64 KiB) stays unreferenced
-# once its frame is handled.  A parse that fails is not kept.
+# A node sees the same few addresses and seconds over and over, so the checks
+# of exact str values are memoised.  Another value may be unhashable, and a str
+# subclass hashes like its text yet ipaddress reads it through its __str__.
+# Only text up to _MEMO_LEN characters is kept: any address or timestamp fits,
+# while a longer string from a peer (a frame may hold up to 64 KiB) stays
+# unreferenced once its frame is handled.
 _MEMO_LEN = 64
 _address_text_check = functools.lru_cache(maxsize=1024)(_address_check)
 _timestamp_text_check = functools.lru_cache(maxsize=1024)(_timestamp_check)
-_location_text_parse = functools.lru_cache(maxsize=1024)(functools.partial(_parse_location, UtmLocation))
 
 
 def _is_address(value) -> bool:
@@ -809,9 +802,10 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _items(keys: tuple):
-    # the values at keys of a dict as a tuple, even for a single key; KeyError if one is absent
-    get = operator.itemgetter(*keys)
-    return get if len(keys) > 1 else lambda mapping: (get(mapping),)
+    # the values at keys of a dict as a tuple; KeyError if one is absent
+    if len(keys) < 2:  # itemgetter of one key returns the bare value
+        raise TypeError("a decoding table reads two keys or more, not %r" % (keys,))
+    return operator.itemgetter(*keys)
 
 
 def _declared(cls, attrs) -> None:
@@ -892,44 +886,8 @@ def _walk_meta(member, problems: list) -> MetaInfo:
     values = list(values)
     values[_LOCATION_AT] = _location(values[_LOCATION_AT])
     meta = MetaInfo(*values)
-    _header_problems(meta, problems)
+    problems += _meta_problems(meta)
     return meta
-
-
-def _header_problems(meta: MetaInfo, problems: list) -> None:
-    """validate's header checks, on a header the walk built.
-
-    Its numerics and coordinates are int and its zone a str, so the type
-    checks of _meta_problems are left out; the problems and their order are
-    the same.
-    """
-    if not is_node_id(meta.node_id):
-        problems.append("node id is not 64 lowercase hex characters")
-    if not _is_address(meta.peer_ip):
-        problems.append("peer ip %r is not a valid address" % (meta.peer_ip,))
-    if not 1 <= meta.port <= 65535:
-        problems.append("port %r out of range 1..65535" % (meta.port,))
-    location = meta.location
-    if location.northing < 0:
-        problems.append("location northing negative")
-    if location.easting < 0:
-        problems.append("location easting negative")
-    if not _ZONE_RE.fullmatch(location.zone):
-        problems.append("location zone malformed")
-    if meta.update_interval_ms <= 0:
-        problems.append("update interval not positive")
-    if meta.peers_requested < 1:
-        problems.append("peers_requested below 1")
-    elif meta.peers_requested > 100:
-        problems.append("peers_requested above 100")
-    if meta.keep_alive_ms <= 0:
-        problems.append("keep alive not positive")
-    if meta.bandwidth < 0:
-        problems.append("bandwidth below 0")
-    if not _is_timestamp(meta.timestamp):
-        problems.append("timestamp malformed")
-    if not _VERSION_RE.fullmatch(meta.version):
-        problems.append("version malformed")
 
 
 def _walk_data(member) -> WeatherData | None:

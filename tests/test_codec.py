@@ -619,20 +619,6 @@ def test_location_tokens_are_one_ascii_space_apart(location):
         decode(frame_with({"Location": location}))
 
 
-def test_location_parse_is_memoised_for_short_exact_text():
-    codec._location_text_parse.cache_clear()
-    text = "6672224 385565 35V"
-    first = UtmLocation.parse(text)
-    assert UtmLocation.parse("".join(text)) is first
-    assert codec._location_text_parse.cache_info().hits == 1
-    long_text = "1" * 100 + " 2 35V"  # longer than a memo key may be
-    assert UtmLocation.parse(long_text) == UtmLocation(int("1" * 100), 2, "35V")
-    assert codec._location_text_parse.cache_info().currsize == 1
-    with pytest.raises(ValueError):
-        UtmLocation.parse(text + " ")  # a refusal is never kept
-    assert codec._location_text_parse.cache_info().currsize == 1
-
-
 def test_a_quoted_minus_sign_is_left_for_validate_to_report():
     envelope = decode(frame_with({"Bandwidth": "-1", "Location": "-5 -2 35V"}, {"Bandwidth": "-4"}))
     assert (envelope.meta.bandwidth, envelope.meta.location) == (-1, UtmLocation(-5, -2, "35V"))
