@@ -5,13 +5,16 @@ a dict of its leaves, and validate then checks the result.
 Kept as the reference that tests compare decode and decode_checked against.
 It imports no test framework, so it also runs under a bare interpreter.  It
 reads the Location through the codec's UtmLocation.parse, so the separator
-rule is the codec's own and a comparison covers the walk alone.
+rule is the codec's own and a comparison covers the walk alone.  It checks
+through codec_reference.validate, a frozen copy of the codec's checks, so
+the walk's problem lists are compared with an independent account.
 """
 
 import dataclasses
 import json
 import re
 
+from codec_reference import validate
 from openweather.codec import (
     MEASUREMENT_GROUPS,
     Envelope,
@@ -25,7 +28,6 @@ from openweather.codec import (
     UtmLocation,
     WeatherData,
     is_registered,
-    validate,
 )
 
 NUMERAL_RE = re.compile(r"-?[0-9]+")

@@ -969,6 +969,8 @@ def envelopes(draw, typed: bool | None = None):
 @example(Envelope(300, meta(), data=WeatherData(wind=WindBlock(speed_ave=None, direction_min=True, speed_max=5))))
 @example(Envelope(105, meta(), info=InfoPayload(peers={False: PeerEntry("é", 1.5, None)})))
 def test_encode_and_fragment_match_the_reference(envelope):
+    problems = reference.outcome(lambda e: validate(e).problems, envelope)
+    assert problems == reference.outcome(lambda e: reference.validate(e).problems, envelope)
     assert reference.outcome(encode, envelope) == reference.outcome(reference.encode, envelope)
     assert reference.outcome(payload_fragment, envelope) == reference.outcome(reference.payload_fragment, envelope)
 
