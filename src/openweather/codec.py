@@ -13,11 +13,20 @@ newline anywhere.  Measurement values travel as JSON strings so decimal
 text survives untouched; the header numerics (Bandwidth, Keep-Alive,
 Peers-Requested, Port, Update-Interval) and Type are JSON numbers.
 
-Most of a message never changes: its keys, their order and the punctuation
-between them.  At import the encoder compiles that part once into format
-strings, from MEASUREMENTS, the fixed MetaInfo and peer-entry keys and the
-envelope's member order, so encoding a message only fills the slots: a
-string through the stdlib's JSON string escaper, an integer as its digits.
+Tables describe the fixed parts of a message once.  MEASUREMENTS holds the
+"Data" schema: one row per field, naming its group, its attribute on the
+group's block, its path on the wire, its NormalizedSample attribute and
+its missing-value default.  The vendor sample mapping reads it too, so a
+new measurement is still one row there plus the attribute it names on the
+block and sample dataclasses.  The member tables hold the header and a
+peer entry: one row per member, in its dataclass's field order, giving its
+wire key, its attribute, its type, its place among validate's problems and
+its check.  At import the codec compiles from these tables the format
+strings that encoding fills (a string through the stdlib's JSON string
+escaper, an integer as its digits) and the readers that build each decoded
+object by position; from the member tables, also the checks that validate
+runs on a header or a peer entry.
+
 One memo keeps what a node sends again and again in its peer listings: up
 to 1,024 clean listing members, node id -> (PeerEntry, text), cleared when
 full.  For those exact entries validate skips their checks and encode skips
@@ -25,14 +34,12 @@ rendering them; every header is checked and rendered each time, and encode
 still runs validate on every envelope before encoding it.
 
 Decoding parses with one shared JSON decoder and walks the tree once,
-driven by the same tables: each fixed-key object is read through its key
-table in one call and built positionally.  The walk also collects the
-problems validate would report on the envelope it builds, through
-validate's own checks, except for "Data", whose checks the walk has made
-true itself: a decoded "Data" holds at least one group, and each of its
-measurements is a str.  decode drops those problems;
-decode_checked, which a node runs on every inbound frame, refuses a frame
-that has any, with the message and in the order validate gives them.
+reading each fixed-key object in one call when each of its members holds
+its wire type.  decode returns what the walk built.  decode_checked, which
+a node runs on every inbound frame, refuses a frame whose envelope
+validate would find problems in, with validate's message and order; it
+skips only the checks of "Data", which the walk has made true: a decoded
+"Data" holds at least one group, and each of its measurements is a str.
 
 The decoder is liberal: arbitrary whitespace between JSON tokens and any
 key order, numeric fields quoted as strings, timestamps with or without
@@ -43,15 +50,10 @@ then digits (validate reports a negative value, not decode).  Leading
 zeros are accepted and read as their value, so "005" is 5 and re-encodes
 as 5; a sign "+", a "_" separator, surrounding whitespace or a non-ASCII
 digit is refused.  A Location is exactly three tokens (northing, easting,
-zone) one ASCII space apart, with no whitespace around them, so that it
-re-encodes as the bytes it arrived as.
-
-The "Data" schema lives in one table, MEASUREMENTS: one row per field,
-naming its group, its attribute on the group's block, its path on the
-wire, its NormalizedSample attribute and its missing-value default.
-The compiled encoder, the decoding walk and the vendor sample mapping all
-read that table, so a new measurement is still one row here plus the
-attribute it names on the block and sample dataclasses.
+zone) one ASCII space apart, with no whitespace around them, so its
+separators and zone re-encode as they arrived; its coordinates, like any
+numeral, re-encode as their values: "06672224 385565 35V" as
+"6672224 385565 35V", and a northing "-0" as 0.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from __future__ import annotations
 import functools
 import ipaddress
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass, fields
@@ -316,23 +319,6 @@ class PeerEntry:
     bandwidth: int
 
 
-# (wire key, attribute, wire type) of the fixed-key objects, in the order
-# decode checks them; MetaInfo's "Location" (a UtmLocation) is checked first,
-# on its own
-_META_KEYS = (
-    ("ID", "node_id", str),
-    ("Peer-IP", "peer_ip", str),
-    ("Bandwidth", "bandwidth", int),
-    ("Timestamp", "timestamp", str),
-    ("Port", "port", int),
-    ("Update-Interval", "update_interval_ms", int),
-    ("Peers-Requested", "peers_requested", int),
-    ("Keep-Alive", "keep_alive_ms", int),
-    ("Version", "version", str),
-)
-_PEER_KEYS = (("Peer-IP", "peer_ip", str), ("Port", "port", int), ("Bandwidth", "bandwidth", int))
-
-
 @dataclass(frozen=True)
 class InfoPayload:
     """Protocol-internal payload: a service catalog or a peer listing."""
@@ -375,213 +361,100 @@ class ValidationReport:
         return not self.problems
 
 
-# codes that must carry a specific payload; everything else carries none
-_PAYLOAD_RULE = {
-    ProtocolCode.SERVICES_AVAILABLE_R: "services",
-    ProtocolCode.LIST_PEERS_R: "peers",
-    ProtocolCode.ON_DEMAND_DATA: "retrieve",
-    ProtocolCode.REAL_TIME_DATA_R: "data",
-    ProtocolCode.ON_DEMAND_DATA_R: "data",
-}
+def _said(text: str, value) -> tuple:
+    # the problem of a value that a check refuses: text, with the value at its %r
+    return (text % (value,) if "%r" in text else text,)
 
 
-def _address_check(value) -> bool:
-    try:
-        ipaddress.ip_address(value)
-    except ValueError:
-        return False
-    return True
+def _within(low: int, high: float, text: str):
+    """The check of an int member: _said(text) unless the value is an int from low to high (True counts as 1)."""
+    return lambda value: () if isinstance(value, int) and low <= value <= high else _said(text, value)
 
 
-def _timestamp_check(value) -> bool:
-    try:
-        parse_timestamp(value)
-    except (TypeError, ValueError):
-        return False
-    return True
+def _unless(test, text: str):
+    """A member's check: _said(text) unless test(value) holds."""
+    return lambda value: () if test(value) else _said(text, value)
 
 
-# A node sees the same few addresses and seconds over and over, so the checks
-# of exact str values are memoised.  Another value may be unhashable, and a str
-# subclass hashes like its text yet ipaddress reads it through its __str__.
-# Only text up to _MEMO_LEN characters is kept: any address or timestamp fits,
-# while a longer string from a peer (a frame may hold up to 64 KiB) stays
-# unreferenced once its frame is handled.
+def _parses(parse, errors):
+    """A test: parse(value) raises none of errors."""
+    def test(value) -> bool:
+        try:
+            parse(value)
+        except errors:
+            return False
+        return True
+
+    return test
+
+
+# A node sees the same few ids, addresses, seconds and versions over and over,
+# so the checks of exact str values are memoised.  Another value may be
+# unhashable, and a str subclass hashes like its text yet ipaddress reads it
+# through its __str__.  Only text up to _MEMO_LEN characters is kept: any id,
+# address or timestamp fits, while a longer string from a peer (a frame may
+# hold up to 64 KiB) stays unreferenced once its frame is handled.
 _MEMO_LEN = 64
-_address_text_check = functools.lru_cache(maxsize=1024)(_address_check)
-_timestamp_text_check = functools.lru_cache(maxsize=1024)(_timestamp_check)
 
 
-def _is_address(value) -> bool:
-    """True when ipaddress accepts value as an IPv4 or IPv6 address."""
-    if type(value) is str and len(value) <= _MEMO_LEN:
-        return _address_text_check(value)
-    return _address_check(value)
+def _memo(check):
+    """check, memoised for exact str values of up to _MEMO_LEN characters."""
+    known = functools.lru_cache(maxsize=1024)(check)
+
+    def memoised(value):
+        return known(value) if type(value) is str and len(value) <= _MEMO_LEN else check(value)
+
+    memoised.cache_info, memoised.cache_clear = known.cache_info, known.cache_clear
+    return memoised
 
 
-def _is_timestamp(value) -> bool:
-    """True when value is a timestamp that parse_timestamp accepts."""
-    if type(value) is str and len(value) <= _MEMO_LEN:
-        return _timestamp_text_check(value)
-    return _timestamp_check(value)
+_id_check = _memo(_unless(is_node_id, "node id is not 64 lowercase hex characters"))
+_address_check = _memo(_unless(_parses(ipaddress.ip_address, ValueError), "peer ip %r is not a valid address"))
+_timestamp_check = _memo(_unless(_parses(parse_timestamp, (TypeError, ValueError)), "timestamp malformed"))
+_version_check = _memo(_unless(lambda v: isinstance(v, str) and _VERSION_RE.fullmatch(v), "version malformed"))
 
 
-# The memo of the module docstring.  A listing member changes only when its
-# peer does.  Entries are matched by identity, never by ==: an equal entry may
-# hold True where 1 was checked.  Each member is one tuple stored in a single
-# assignment, so two threads encoding at once never read the halves of two
-# different pairs.  Only exact types go in, as only they are sure not to
-# change or to render otherwise.
-_MEMBERS_MAX = 1024
-_members: dict = {}  # exact-str node id -> (PeerEntry, its rendered listing member)
-
-
-def validate(envelope: Envelope) -> ValidationReport:
-    """Check every invariant; returns a report rather than raising."""
+def _location_check(location) -> list:
+    if not isinstance(location, UtmLocation):
+        return ["location is not a UTM triple"]
     problems = []
-    if not isinstance(envelope.type_code, int) or not is_registered(envelope.type_code):
-        problems.append("unknown type code %r" % (envelope.type_code,))
-    problems.extend(_meta_problems(envelope.meta))
-    payloads = [p for p in (envelope.data, envelope.info, envelope.retrieve) if p is not None]
-    if len(payloads) > 1:
-        problems.append("more than one payload present")
-    if envelope.data is not None:
-        problems.extend(_data_problems(envelope.data))
-    if envelope.info is not None:
-        problems.extend(_info_problems(envelope.info))
-    if envelope.retrieve is not None:
-        problems.extend(_retrieve_problems(envelope.retrieve))
-    problems.extend(_payload_rule_problems(envelope))
-    return ValidationReport(tuple(problems))
-
-
-def _payload_rule_problems(envelope: Envelope) -> list:
-    code = envelope.type_code
-    if not isinstance(code, int) or not is_registered(code):
-        return []
-    required = _PAYLOAD_RULE.get(code)
-    problems = []
-    if required is None:
-        if envelope.data is not None or envelope.info is not None or envelope.retrieve is not None:
-            problems.append("unexpected payload for code %d" % code)
-        return problems
-    if required == "data" and envelope.data is None:
-        problems.append("payload missing for retrieval code %d" % code)
-    elif required == "retrieve" and envelope.retrieve is None:
-        problems.append("payload missing for retrieval code %d" % code)
-    elif required == "services":
-        if envelope.info is None or envelope.info.services is None:
-            problems.append("payload missing for retrieval code %d" % code)
-    elif required == "peers":
-        if envelope.info is None or envelope.info.peers is None:
-            problems.append("payload missing for retrieval code %d" % code)
+    if not isinstance(location.northing, int) or location.northing < 0:
+        problems.append("location northing negative")
+    if not isinstance(location.easting, int) or location.easting < 0:
+        problems.append("location easting negative")
+    if not isinstance(location.zone, str) or not _ZONE_RE.fullmatch(location.zone):
+        problems.append("location zone malformed")
     return problems
 
 
-def _meta_problems(meta: MetaInfo) -> list:
-    problems = []
-    if not is_node_id(meta.node_id):
-        problems.append("node id is not 64 lowercase hex characters")
-    if not _is_address(meta.peer_ip):
-        problems.append("peer ip %r is not a valid address" % (meta.peer_ip,))
-    if not isinstance(meta.port, int) or not 1 <= meta.port <= 65535:
-        problems.append("port %r out of range 1..65535" % (meta.port,))
-    if not isinstance(meta.location, UtmLocation):
-        problems.append("location is not a UTM triple")
-    else:
-        if not isinstance(meta.location.northing, int) or meta.location.northing < 0:
-            problems.append("location northing negative")
-        if not isinstance(meta.location.easting, int) or meta.location.easting < 0:
-            problems.append("location easting negative")
-        if not isinstance(meta.location.zone, str) or not _ZONE_RE.fullmatch(meta.location.zone):
-            problems.append("location zone malformed")
-    if not isinstance(meta.update_interval_ms, int) or meta.update_interval_ms <= 0:
-        problems.append("update interval not positive")
-    if not isinstance(meta.peers_requested, int) or meta.peers_requested < 1:
-        problems.append("peers_requested below 1")
-    elif meta.peers_requested > 100:
-        problems.append("peers_requested above 100")
-    if not isinstance(meta.keep_alive_ms, int) or meta.keep_alive_ms <= 0:
-        problems.append("keep alive not positive")
-    if not isinstance(meta.bandwidth, int) or isinstance(meta.bandwidth, bool) or meta.bandwidth < 0:
-        problems.append("bandwidth below 0")
-    if not _is_timestamp(meta.timestamp):
-        problems.append("timestamp malformed")
-    if not isinstance(meta.version, str) or not _VERSION_RE.fullmatch(meta.version):
-        problems.append("version malformed")
-    return problems
+def _peers_requested_check(value) -> tuple:
+    if not isinstance(value, int) or value < 1:
+        return ("peers_requested below 1",)
+    return ("peers_requested above 100",) if value > 100 else ()
 
 
-def _data_problems(data: WeatherData) -> list:
-    if data.is_empty():
-        return ["weather data empty"]
-    problems = []
-    for group in (data.ptu, data.wind, data.precipitation):
-        if group is None:
-            continue
-        for name, value in vars(group).items():
-            if not isinstance(value, str):
-                problems.append("measurement %s is not a string" % name)
-    return problems
-
-
-def _info_problems(info: InfoPayload) -> list:
-    problems = []
-    if info.services is None and info.peers is None:
-        problems.append("info payload empty")
-    if info.services is not None and info.peers is not None:
-        problems.append("info payload carries both variants")
-    if info.services is not None:
-        _catalog_problems(info.services, problems)
-    if info.peers is not None:
-        if len(info.peers) > 100:
-            problems.append("peer listing above 100 entries")
-        members = _members
-        for node_id, entry in info.peers.items():
-            if type(node_id) is str:
-                known = members.get(node_id)
-                if known is not None and known[0] is entry:
-                    continue
-            _entry_problems(node_id, entry, problems)
-    return problems
-
-
-def _catalog_problems(services: dict, problems: list) -> None:
-    if not services:
-        problems.append("service catalog empty")
-    for name, flags in services.items():
-        if name not in SERVICES:
-            problems.append("unknown service %r" % (name,))
-        if flags not in SERVICE_FLAGS:
-            problems.append("bad service flags %r" % (flags,))
-
-
-def _entry_problems(node_id, entry, problems: list) -> None:
-    if not is_node_id(node_id):
-        problems.append("peer id %r is not 64 lowercase hex characters" % (node_id,))
-    if not isinstance(entry, PeerEntry):
-        problems.append("peer entry for %r malformed" % (node_id,))
-        return
-    if not isinstance(entry.port, int) or not 1 <= entry.port <= 65535:
-        problems.append("peer port %r out of range" % (entry.port,))
-    if not isinstance(entry.bandwidth, int) or entry.bandwidth < 0:
-        problems.append("peer bandwidth below 0")
-    if not _is_address(entry.peer_ip):
-        problems.append("peer ip %r is not a valid address" % (entry.peer_ip,))
-
-
-def _retrieve_problems(retrieve: RetrieveRequest) -> list:
-    problems = []
-    if not retrieve.services:
-        problems.append("retrieve services empty")
-    if len(set(retrieve.services)) != len(retrieve.services):
-        problems.append("retrieve services duplicated")
-    for name in retrieve.services:
-        if name not in SERVICES:
-            problems.append("unknown service %r" % (name,))
-    if not _is_timestamp(retrieve.timestamp):
-        problems.append("retrieve timestamp malformed")
-    return problems
+# Each header and peer-entry member, described once: a row per member in its
+# dataclass's field order, (wire key, attribute, type, place among validate's
+# problems, check).  _compile builds what encoding, decoding, validate and the
+# listing memo read of them.
+_META_TABLE = (
+    ("ID", "node_id", str, 0, _id_check),
+    ("Peer-IP", "peer_ip", str, 1, _address_check),
+    ("Location", "location", UtmLocation, 3, _location_check),
+    ("Bandwidth", "bandwidth", int, 7,  # unlike a peer entry's, it refuses True and False
+     lambda v: () if isinstance(v, int) and not isinstance(v, bool) and v >= 0 else ("bandwidth below 0",)),
+    ("Timestamp", "timestamp", str, 8, _timestamp_check),
+    ("Port", "port", int, 2, _within(1, 65535, "port %r out of range 1..65535")),
+    ("Update-Interval", "update_interval_ms", int, 4, _within(1, math.inf, "update interval not positive")),
+    ("Peers-Requested", "peers_requested", int, 5, _peers_requested_check),
+    ("Keep-Alive", "keep_alive_ms", int, 6, _within(1, math.inf, "keep alive not positive")),
+    ("Version", "version", str, 9, _version_check),
+)
+_PEER_TABLE = (  # its problems follow those of the listing key, the peer's id
+    ("Peer-IP", "peer_ip", str, 2, _address_check),
+    ("Port", "port", int, 0, _within(1, 65535, "peer port %r out of range")),
+    ("Bandwidth", "bandwidth", int, 1, _within(0, math.inf, "peer bandwidth below 0")),
+)
 
 
 def _template(tree: dict) -> tuple:
@@ -613,6 +486,246 @@ def _getter(names: tuple):
     return get if len(names) > 1 else lambda obj: (get(obj),)
 
 
+def _items(keys: tuple):
+    # the values at keys of a dict as a tuple; KeyError if one is absent
+    if len(keys) < 2:  # itemgetter of one key returns the bare value
+        raise TypeError("a decoding table reads two keys or more, not %r" % (keys,))
+    return operator.itemgetter(*keys)
+
+
+def _declared(cls, attrs, keys) -> None:
+    # a table builds cls by position, so it names cls's fields in their order, each at a key of its own
+    names = tuple(field.name for field in fields(cls))
+    if names != tuple(attrs) or len(set(keys)) != len(keys):
+        raise TypeError("%s declares %r, its table reads %r at %r" % (cls.__name__, names, tuple(attrs), tuple(keys)))
+
+
+def _text(value) -> str:
+    """Canonical text of one value: a JSON string, or the digits of an integer."""
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, bool):
+        raise EncodeError("boolean values never appear on the wire")
+    if isinstance(value, int):
+        return int.__repr__(value)  # also for an IntEnum, whose str() is its name on Python 3.10
+    if isinstance(value, str):
+        return _quote(value)
+    raise EncodeError("cannot encode value of type %s" % type(value).__name__)
+
+
+def _as_int(value, name: str) -> int:
+    if isinstance(value, bool):
+        raise SchemaError('"%s" is not an integer' % name)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str) and _NUMERAL_RE.fullmatch(value):
+        try:
+            return int(value, 10)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise SchemaError('"%s" is not an integer' % name)
+
+
+def _as_str(value, name: str) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise SchemaError('"%s" is not a string' % name)
+
+
+def _require(mapping: dict, key: str, where: str):
+    if key not in mapping:
+        raise SchemaError('missing "%s" member in %s' % (key, where))
+    return mapping[key]
+
+
+def _member(member: dict, key: str, kind, where: str):
+    value = _require(member, key, where)
+    return _as_int(value, key) if kind is int else _as_str(value, key)
+
+
+def _parsed(key: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise SchemaError('"%s" malformed: %s' % (key, exc))
+
+
+def _compile(cls, table: tuple) -> tuple:
+    """(text, read, check, exact) of a fixed-key object, built from its member table.
+
+    A str or int member travels as itself; a member of another type travels
+    as its text, read with the type's parse and written with its render.
+    text(obj) renders obj.  read(member, where) builds a cls from a decoded
+    object; of its absent or mistyped members, the first is the
+    SchemaError, those read from text checked first.  check(obj, problems)
+    adds obj's problems in validate's order.  exact(obj) says that obj is a
+    cls whose members hold exactly their types.
+    """
+    keys, attrs, types, places, checks = zip(*table)
+    _declared(cls, attrs, keys)
+    kinds = tuple(kind if kind in (str, int) else str for kind in types)  # as each member arrives
+    parsed = tuple((at, key, kind.parse) for at, (key, kind) in enumerate(zip(keys, types)) if kind not in (str, int))
+    form, slots = _template(dict(zip(keys, attrs)))
+    slot_values, rendered = _getter(slots), tuple(slots.index(attrs[at]) for at, _, _ in parsed)
+    wire_values, own_values = _items(keys), _getter(attrs)
+    order = sorted(range(len(table)), key=places.__getitem__)
+    checks, checked_values = tuple(checks[at] for at in order), _getter(tuple(attrs[at] for at in order))
+
+    def text(obj) -> str:
+        values = slot_values(obj)
+        if rendered:
+            values = list(values)
+            for at in rendered:
+                values[at] = values[at].render()
+        return form % tuple([_text(value) for value in values])
+
+    def read(member: dict, where: str):
+        try:
+            found = wire_values(member)
+            if tuple(map(type, found)) != kinds:
+                raise KeyError
+        except KeyError:  # one by one, for the error
+            for _, key, parse in parsed:
+                _parsed(key, parse, _member(member, key, str, where))
+            found = [_member(member, key, kind, where) for key, kind in zip(keys, kinds)]
+        if parsed:
+            found = list(found)
+            for at, key, parse in parsed:
+                found[at] = _parsed(key, parse, found[at])
+        return cls(*found)
+
+    def check(obj, problems: list) -> None:
+        for member_check, value in zip(checks, checked_values(obj)):
+            found = member_check(value)
+            if found:
+                problems += found
+
+    def exact(obj) -> bool:
+        return type(obj) is cls and tuple(map(type, own_values(obj))) == types
+
+    return text, read, check, exact
+
+
+_meta_text, _read_meta, _check_meta, _ = _compile(MetaInfo, _META_TABLE)
+_peer_text, _read_peer, _check_peer, _exact_peer = _compile(PeerEntry, _PEER_TABLE)
+
+
+# The memo of the module docstring.  A listing member changes only when its
+# peer does.  Entries are matched by identity, never by ==: an equal entry may
+# hold True where 1 was checked.  Each member is one tuple stored in a single
+# assignment, so two threads encoding at once never read the halves of two
+# different pairs.  Only exact types go in, as only they are sure not to
+# change or to render otherwise.
+_MEMBERS_MAX = 1024
+_members: dict = {}  # exact-str node id -> (PeerEntry, its rendered listing member)
+
+# code -> (the test that an envelope carries the payload the code needs, the
+# problem when it does not); a code not listed carries no payload
+_NO_PAYLOAD = (lambda e: e.data is None and e.info is None and e.retrieve is None, "unexpected payload for code %d")
+_PAYLOAD_RULE = {
+    code: (carried, "payload missing for retrieval code %d")
+    for code, carried in (
+        (ProtocolCode.SERVICES_AVAILABLE_R, lambda e: e.info is not None and e.info.services is not None),
+        (ProtocolCode.LIST_PEERS_R, lambda e: e.info is not None and e.info.peers is not None),
+        (ProtocolCode.ON_DEMAND_DATA, lambda e: e.retrieve is not None),
+        (ProtocolCode.REAL_TIME_DATA_R, lambda e: e.data is not None),
+        (ProtocolCode.ON_DEMAND_DATA_R, lambda e: e.data is not None),
+    )
+}
+
+
+def validate(envelope: Envelope) -> ValidationReport:
+    """Check every invariant; returns a report rather than raising."""
+    return ValidationReport(tuple(_problems(envelope)))
+
+
+def _problems(envelope: Envelope, decoded: bool = False) -> list:
+    # validate's problems, in its order; the "Data" of a decoded envelope has none to look for
+    problems = []
+    code = envelope.type_code
+    registered = isinstance(code, int) and is_registered(code)
+    if not registered:
+        problems.append("unknown type code %r" % (code,))
+    _check_meta(envelope.meta, problems)
+    data, info, retrieve = envelope.data, envelope.info, envelope.retrieve
+    if (data is not None) + (info is not None) + (retrieve is not None) > 1:
+        problems.append("more than one payload present")
+    if data is not None and not decoded:
+        problems += _data_problems(data)
+    if info is not None:
+        problems += _info_problems(info)
+    if retrieve is not None:
+        problems += _retrieve_problems(retrieve)
+    if registered:
+        carried, problem = _PAYLOAD_RULE.get(code, _NO_PAYLOAD)
+        if not carried(envelope):
+            problems.append(problem % code)
+    return problems
+
+
+def _data_problems(data: WeatherData) -> list:
+    if data.is_empty():
+        return ["weather data empty"]
+    problems = []
+    for group in (data.ptu, data.wind, data.precipitation):
+        if group is None:
+            continue
+        for name, value in vars(group).items():
+            if not isinstance(value, str):
+                problems.append("measurement %s is not a string" % name)
+    return problems
+
+
+def _info_problems(info: InfoPayload) -> list:
+    problems = []
+    if info.services is None and info.peers is None:
+        problems.append("info payload empty")
+    if info.services is not None and info.peers is not None:
+        problems.append("info payload carries both variants")
+    if info.services is not None:
+        if not info.services:
+            problems.append("service catalog empty")
+        for name, flags in info.services.items():
+            if name not in SERVICES:
+                problems.append("unknown service %r" % (name,))
+            if flags not in SERVICE_FLAGS:
+                problems.append("bad service flags %r" % (flags,))
+    if info.peers is not None:
+        if len(info.peers) > 100:
+            problems.append("peer listing above 100 entries")
+        members = _members
+        for node_id, entry in info.peers.items():
+            if type(node_id) is str:
+                known = members.get(node_id)
+                if known is not None and known[0] is entry:
+                    continue
+            if _id_check(node_id):
+                problems.append("peer id %r is not 64 lowercase hex characters" % (node_id,))
+            if isinstance(entry, PeerEntry):
+                _check_peer(entry, problems)
+            else:
+                problems.append("peer entry for %r malformed" % (node_id,))
+    return problems
+
+
+def _retrieve_problems(retrieve: RetrieveRequest) -> list:
+    problems = []
+    if not retrieve.services:
+        problems.append("retrieve services empty")
+    if len(set(retrieve.services)) != len(retrieve.services):
+        problems.append("retrieve services duplicated")
+    for name in retrieve.services:
+        if name not in SERVICES:
+            problems.append("unknown service %r" % (name,))
+    if _timestamp_check(retrieve.timestamp):
+        problems.append("retrieve timestamp malformed")
+    return problems
+
+
 def _path_tree(rows) -> dict:
     # wire paths -> nested keys, each leaf naming its block field
     tree = {}
@@ -636,30 +749,12 @@ _DATA_FORMATS = tuple(
     (name, *_group_format(wire_key, rows))
     for wire_key, name, rows in sorted((rows[0].wire_group, name, rows) for name, (_, rows) in MEASUREMENT_GROUPS.items())
 )
-_META_FORMAT, _META_SLOTS = _template({"Location": "location", **{key: attr for key, attr, _ in _META_KEYS}})
-_PEER_FORMAT, _PEER_SLOTS = _template({key: attr for key, attr, _ in _PEER_KEYS})
-_peer_values = _getter(_PEER_SLOTS)
 _RETRIEVE_FORMAT, _ = _template({"D": "services", "Timestamp": "timestamp"})
 # the whole message around each payload member (None: header only)
 _ENVELOPE_FORMATS = {
     key: _template({"OpenWeatherMessage": {"MetaInfo": "meta", "Type": "type", **({key: "payload"} if key else {})}})
     for key in (None, "Data", "Info", "Retrieve")
 }
-
-
-def _text(value) -> str:
-    """Canonical text of one value: a JSON string, or the digits of an integer."""
-    if type(value) is str:
-        return _quote(value)
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, bool):
-        raise EncodeError("boolean values never appear on the wire")
-    if isinstance(value, int):
-        return int.__repr__(value)  # also for an IntEnum, whose str() is its name on Python 3.10
-    if isinstance(value, str):
-        return _quote(value)
-    raise EncodeError("cannot encode value of type %s" % type(value).__name__)
 
 
 def _key(key) -> str:
@@ -678,16 +773,6 @@ def _object(members: dict, render) -> str:
 # of an iterator of unknown length guesses ten items and shrinks the result,
 # which strands one tuple per call on the interpreter's free list for its size
 # (up to 2000 per size, about 0.3 MB on a streaming node).
-def _meta_text(meta: MetaInfo) -> str:
-    return _META_FORMAT % tuple(
-        [_text(meta.location.render() if slot == "location" else getattr(meta, slot)) for slot in _META_SLOTS]
-    )
-
-
-def _peer_text(entry: PeerEntry) -> str:
-    return _PEER_FORMAT % tuple([_text(value) for value in _peer_values(entry)])
-
-
 def _data_text(data: WeatherData) -> str:
     members = []
     for name, form, values in _DATA_FORMATS:
@@ -711,7 +796,7 @@ def _listing_text(peers: dict, clean: bool) -> str:
                 texts.append(known[1])
                 continue
         text = "%s : %s" % (_key(node_id), _peer_text(entry))
-        if clean and exact and _exact(entry, PeerEntry, _PEER_KEYS):
+        if clean and exact and _exact_peer(entry):
             if len(members) >= _MEMBERS_MAX:
                 members.clear()
             members[node_id] = (entry, text)
@@ -758,75 +843,14 @@ def encode(envelope: Envelope) -> bytes:
     return (form % tuple([parts[slot] for slot in slots])).encode("utf-8")
 
 
-def _exact(value, cls, keys) -> bool:
-    """value is a cls whose attributes named in keys hold exactly their wire types."""
-    return type(value) is cls and all(type(getattr(value, attr)) is kind for _, attr, kind in keys)
-
-
 def payload_fragment(envelope: Envelope) -> str | None:
     """Canonical text of just the payload member, or None for header-only."""
     return _payload_text(envelope)[1]
 
 
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool):
-        raise SchemaError('"%s" is not an integer' % name)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str) and _NUMERAL_RE.fullmatch(value):
-        try:
-            return int(value, 10)
-        except ValueError:  # past int()'s digit limit
-            pass
-    raise SchemaError('"%s" is not an integer' % name)
-
-
-def _as_str(value, name: str) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    raise SchemaError('"%s" is not a string' % name)
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise SchemaError('missing "%s" member in %s' % (key, where))
-    return mapping[key]
-
-
-# The decoder's walk, compiled once from the tables above as encoding is.  Each
-# fixed-key object is read through a key table: the values of its keys in one
-# call, taken as they are when each already holds its wire type, and built
-# into its dataclass by position, so the table's order must be the dataclass's.
-
-
-def _items(keys: tuple):
-    # the values at keys of a dict as a tuple; KeyError if one is absent
-    if len(keys) < 2:  # itemgetter of one key returns the bare value
-        raise TypeError("a decoding table reads two keys or more, not %r" % (keys,))
-    return operator.itemgetter(*keys)
-
-
-def _declared(cls, attrs) -> None:
-    names = tuple(field.name for field in fields(cls))
-    if names != tuple(attrs):
-        raise TypeError("%s declares %r, its decoding table reads %r" % (cls.__name__, names, tuple(attrs)))
-
-
-def _reader(table: tuple) -> tuple:
-    # (read the values of table's keys, their wire types) for a table of (wire key, attribute, wire type)
-    return _items(tuple(key for key, _, _ in table)), tuple(kind for _, _, kind in table)
-
-
-# MetaInfo's members in its field order; the walk reads "Location" with the
-# rest, as text, and parses it in its place
-_LOCATION_AT = [field.name for field in fields(MetaInfo)].index("location")
-_META_MEMBERS = (*_META_KEYS[:_LOCATION_AT], ("Location", "location", str), *_META_KEYS[_LOCATION_AT:])
-_declared(MetaInfo, [attr for _, attr, _ in _META_MEMBERS])
-_declared(PeerEntry, [attr for _, attr, _ in _PEER_KEYS])
-_META_READ = _reader(_META_MEMBERS)
-_PEER_READ = _reader(_PEER_KEYS)
+# The decoder's walk of "Data", compiled once from MEASUREMENTS as encoding is:
+# each holding object's leaves are read in one call and each block is built
+# by position, so the table's order must be the block's.
 
 
 def _holders(block, rows) -> tuple:
@@ -834,7 +858,7 @@ def _holders(block, rows) -> tuple:
     held = {}
     for row in rows:
         held.setdefault(row.path[:-1], []).append(row)
-    _declared(block, [row.field for leaves in held.values() for row in leaves])
+    _declared(block, [row.field for leaves in held.values() for row in leaves], [row.path for row in rows])
     return tuple(
         (keys, _items(tuple(row.path[-1] for row in leaves)), tuple((row.path[-1], row.default) for row in leaves))
         for keys, leaves in held.items()
@@ -843,51 +867,7 @@ def _holders(block, rows) -> tuple:
 
 # "Data" groups in WeatherData's field order: (wire key, block type, holders)
 _DATA_WALK = tuple((rows[0].wire_group, block, _holders(block, rows)) for block, rows in MEASUREMENT_GROUPS.values())
-_declared(WeatherData, MEASUREMENT_GROUPS)
-
-
-def _typed(member: dict, reader: tuple):
-    """The values of the reader's keys in member when each holds its wire type, else None."""
-    read, kinds = reader
-    try:
-        values = read(member)
-    except KeyError:
-        return None
-    return values if tuple(map(type, values)) == kinds else None
-
-
-def _one_by_one(member: dict, table: tuple, where: str) -> list:
-    """The values of table's keys in member, in table order, each read as its wire type.
-
-    The first absent or mistyped member, in table order, is the SchemaError.
-    """
-    return [_member(member, key, kind, where) for key, _, kind in table]
-
-
-def _member(member: dict, key: str, kind, where: str):
-    value = _require(member, key, where)
-    return _as_int(value, key) if kind is int else _as_str(value, key)
-
-
-def _location(text: str) -> UtmLocation:
-    try:
-        return UtmLocation.parse(text)
-    except ValueError as exc:
-        raise SchemaError('"Location" malformed: %s' % exc)
-
-
-def _walk_meta(member, problems: list) -> MetaInfo:
-    if not isinstance(member, dict):
-        raise SchemaError('"MetaInfo" is not an object')
-    values = _typed(member, _META_READ)
-    if values is None:  # "Location" is checked first, then _META_KEYS in order
-        _location(_member(member, "Location", str, "MetaInfo"))
-        values = _one_by_one(member, _META_MEMBERS, "MetaInfo")
-    values = list(values)
-    values[_LOCATION_AT] = _location(values[_LOCATION_AT])
-    meta = MetaInfo(*values)
-    problems += _meta_problems(meta)
-    return meta
+_declared(WeatherData, MEASUREMENT_GROUPS, [rows[0].wire_group for _, rows in MEASUREMENT_GROUPS.values()])
 
 
 def _walk_data(member) -> WeatherData | None:
@@ -943,7 +923,7 @@ def _group_leaves(group, wire_key: str, holders: tuple) -> list:
     return values
 
 
-def _walk_info(member, problems: list) -> InfoPayload:
+def _walk_info(member) -> InfoPayload:
     if not isinstance(member, dict):
         raise SchemaError('"Info" is not an object')
     if "Services" in member and "Peers" in member:
@@ -952,29 +932,21 @@ def _walk_info(member, problems: list) -> InfoPayload:
         catalog = member["Services"]
         if not isinstance(catalog, dict):
             raise SchemaError('"Services" is not an object')
-        services = {k: _as_str(v, k) for k, v in catalog.items()}
-        _catalog_problems(services, problems)
-        return InfoPayload(services=services)
+        return InfoPayload(services={k: _as_str(v, k) for k, v in catalog.items()})
     if "Peers" in member:
         listing = member["Peers"]
         if not isinstance(listing, dict):
             raise SchemaError('"Peers" is not an object')
-        if len(listing) > 100:
-            problems.append("peer listing above 100 entries")
         peers = {}
-        for node_id, raw in listing.items():
-            if not isinstance(raw, dict):
+        for node_id, entry in listing.items():
+            if not isinstance(entry, dict):
                 raise SchemaError("peer entry %r is not an object" % (node_id,))
-            values = _typed(raw, _PEER_READ)
-            if values is None:
-                values = _one_by_one(raw, _PEER_KEYS, "peer entry")
-            entry = peers[node_id] = PeerEntry(*values)
-            _entry_problems(node_id, entry, problems)
+            peers[node_id] = _read_peer(entry, "peer entry")
         return InfoPayload(peers=peers)
     raise SchemaError('"Info" carries neither "Services" nor "Peers"')
 
 
-def _walk_retrieve(member, problems: list) -> RetrieveRequest:
+def _walk_retrieve(member) -> RetrieveRequest:
     if not isinstance(member, dict):
         raise SchemaError('"Retrieve" is not an object')
     wanted = member.get("D", [])
@@ -984,9 +956,7 @@ def _walk_retrieve(member, problems: list) -> RetrieveRequest:
         raise SchemaError('"D" is not a list of service names')
     services = tuple(_as_str(item, "D") for item in wanted)
     timestamp = _as_str(_require(member, "Timestamp", "Retrieve"), "Timestamp")
-    retrieve = RetrieveRequest(services, timestamp)
-    problems += _retrieve_problems(retrieve)
-    return retrieve
+    return RetrieveRequest(services, timestamp)
 
 
 # one parser for every frame: json.loads(text, parse_float=str) builds a new one per call;
@@ -1015,10 +985,11 @@ def _parse(raw):
         raise ParseError("unparseable JSON: %s" % exc)
 
 
-def _walk(raw) -> tuple:
-    """The one walk of a frame: (its Envelope, the problems validate reports on it).
+def decode(raw) -> Envelope:
+    """Parse wire bytes (or text) into an Envelope, liberally and unchecked.
 
-    Raises what decode documents for a frame that does not decode.
+    Raises ParseError for bad JSON, SchemaError for missing or mistyped
+    members, UnknownCodeError for a Type outside the registry.
     """
     tree = _parse(raw)
     if not isinstance(tree, dict) or "OpenWeatherMessage" not in tree:
@@ -1029,8 +1000,10 @@ def _walk(raw) -> tuple:
     code = _as_int(_require(body, "Type", "OpenWeatherMessage"), "Type")
     if not is_registered(code):
         raise UnknownCodeError(code)
-    problems = []  # in validate's order: header, payload count, payload, payload rule
-    meta = _walk_meta(_require(body, "MetaInfo", "OpenWeatherMessage"), problems)
+    meta = _require(body, "MetaInfo", "OpenWeatherMessage")
+    if not isinstance(meta, dict):
+        raise SchemaError('"MetaInfo" is not an object')
+    meta = _read_meta(meta, "MetaInfo")
 
     data_member = body.get("Data")
     retrieve_member = body.get("Retrieve", body.get("Retrive"))
@@ -1040,24 +1013,10 @@ def _walk(raw) -> tuple:
             retrieve_member = nested
             data_member = {k: v for k, v in data_member.items() if k not in ("Retrieve", "Retrive")}
 
-    # a decoded "Data" always holds str measurements in at least one group, so it has no problems
     data = _walk_data(data_member) if data_member is not None else None
-    if (data is not None) + ("Info" in body) + (retrieve_member is not None) > 1:
-        problems.append("more than one payload present")
-    info = _walk_info(body["Info"], problems) if "Info" in body else None
-    retrieve = _walk_retrieve(retrieve_member, problems) if retrieve_member is not None else None
-    envelope = Envelope(code, meta, data, info, retrieve)
-    problems += _payload_rule_problems(envelope)
-    return envelope, problems
-
-
-def decode(raw) -> Envelope:
-    """Parse wire bytes (or text) into an Envelope, liberally and unchecked.
-
-    Raises ParseError for bad JSON, SchemaError for missing or mistyped
-    members, UnknownCodeError for a Type outside the registry.
-    """
-    return _walk(raw)[0]
+    info = _walk_info(body["Info"]) if "Info" in body else None
+    retrieve = _walk_retrieve(retrieve_member) if retrieve_member is not None else None
+    return Envelope(code, meta, data, info, retrieve)
 
 
 def decode_checked(raw) -> Envelope:
@@ -1066,7 +1025,8 @@ def decode_checked(raw) -> Envelope:
     Raises what decode raises, or SchemaError("invalid envelope: ...")
     listing the problems as validate reports them.
     """
-    envelope, problems = _walk(raw)
+    envelope = decode(raw)
+    problems = _problems(envelope, decoded=True)
     if problems:
         raise SchemaError("invalid envelope: " + "; ".join(problems))
     return envelope

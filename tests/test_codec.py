@@ -400,18 +400,18 @@ def test_validate_retrieve_contents():
 
 def test_validate_memoises_only_short_text():
     # a peer's 60 KiB address or timestamp must not stay alive in the checks' caches
-    codec._address_text_check.cache_clear()
-    codec._timestamp_text_check.cache_clear()
+    codec._address_check.cache_clear()
+    codec._timestamp_check.cache_clear()
     long_ip, long_stamp = "1" * 60 * 1024, "2" * 60 * 1024
     listing = InfoPayload(peers={"b" * 64: PeerEntry(long_ip, 62535, 6)})
     report = validate(Envelope(105, meta(peer_ip=long_ip, timestamp=long_stamp), info=listing))
     assert sum("is not a valid address" in p for p in report.problems) == 2
     assert "timestamp malformed" in report.problems
-    assert codec._address_text_check.cache_info().currsize == 0
-    assert codec._timestamp_text_check.cache_info().currsize == 0
+    assert codec._address_check.cache_info().currsize == 0
+    assert codec._timestamp_check.cache_info().currsize == 0
     assert validate(Envelope(100, meta())).ok
-    assert codec._address_text_check.cache_info().currsize == 1
-    assert codec._timestamp_text_check.cache_info().currsize == 1
+    assert codec._address_check.cache_info().currsize == 1
+    assert codec._timestamp_check.cache_info().currsize == 1
 
 
 def test_encode_refuses_invalid_envelopes():
@@ -651,6 +651,48 @@ def test_a_quoted_numeral_decodes_only_when_it_is_ascii_digits(text):
         return
     assert text.removeprefix("-").isdigit() and text.isascii()
     assert envelope.meta.port == envelope.info.peers["b" * 64].bandwidth == int(text)
+
+
+# -- member tables -------------------------------------------------------------------
+
+
+def swapped(rows: tuple, first: int, second: int, column) -> tuple:
+    """rows with the values in column of two rows exchanged."""
+    rows = list(rows)
+    a, b = rows[first], rows[second]
+    rows[first], rows[second] = column(a, column(b)), column(b, column(a))
+    return tuple(rows)
+
+
+def cell(at: int):
+    """Read (cell(row)) or replace (cell(row, value)) the cell at one position of a table row."""
+    return lambda row, *value: row[at] if not value else (*row[:at], value[0], *row[at + 1:])
+
+
+def field(name: str):
+    """As cell, for an attribute of a MEASUREMENTS row."""
+    return lambda row, *value: getattr(row, name) if not value else dataclasses.replace(row, **{name: value[0]})
+
+
+TABLES = {
+    "header": (lambda rows: codec._compile(MetaInfo, rows), codec._META_TABLE, cell(0), cell(1)),
+    "peer entry": (lambda rows: codec._compile(PeerEntry, rows), codec._PEER_TABLE, cell(0), cell(1)),
+    "PTU group": (lambda rows: codec._holders(PtuBlock, rows), codec.MEASUREMENT_GROUPS["ptu"][1], field("path"),
+                  field("field")),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_a_member_table_that_disagrees_with_its_dataclass_is_refused(table):
+    build, rows, key, attr = TABLES[table]
+    build(rows)  # the codec's own table builds
+    for bad in (
+        swapped(rows, 0, 1, attr),  # two attributes swapped
+        rows[:1] + rows[2:],  # one attribute missing
+        rows[:1] + (key(rows[1], key(rows[0])),) + rows[2:],  # one wire key twice
+    ):
+        with pytest.raises(TypeError):
+            build(bad)
 
 
 # -- round trips --------------------------------------------------------------------
