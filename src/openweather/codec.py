@@ -13,19 +13,16 @@ newline anywhere.  Measurement values travel as JSON strings so decimal
 text survives untouched; the header numerics (Bandwidth, Keep-Alive,
 Peers-Requested, Port, Update-Interval) and Type are JSON numbers.
 
-Tables describe the fixed parts of a message once.  MEASUREMENTS holds the
-"Data" schema: one row per field, naming its group, its attribute on the
-group's block, its path on the wire, its NormalizedSample attribute and
-its missing-value default.  The vendor sample mapping reads it too, so a
-new measurement is still one row there plus the attribute it names on the
-block and sample dataclasses.  The member tables hold the header and a
-peer entry: one row per member, in its dataclass's field order, giving its
-wire key, its attribute, its type, its place among validate's problems and
-its check.  At import the codec compiles from these tables the format
-strings that encoding fills (a string through the stdlib's JSON string
-escaper, an integer as its digits) and the readers that build each decoded
-object by position; from the member tables, also the checks that validate
-runs on a header or a peer entry.
+Tables describe each fixed member once.  MEASUREMENTS has a row per
+"Data" field (group, block attribute, wire path, NormalizedSample
+attribute, default), which the vendor sample mapping reads too.  The
+member tables have a row per header or peer-entry member (wire key,
+attribute, type, place among validate's problems, check).  At import the
+codec compiles from them the format strings that encoding fills (a string
+through the stdlib's JSON string escaper, an integer as its digits), the
+readers that build each decoded object by position, and validate's checks
+of a header and a peer entry.  A new measurement or header member is one
+row plus the dataclass field it names.
 
 One memo keeps what a node sends again and again in its peer listings: up
 to 1,024 clean listing members, node id -> (PeerEntry, text), cleared when
@@ -33,13 +30,13 @@ full.  For those exact entries validate skips their checks and encode skips
 rendering them; every header is checked and rendered each time, and encode
 still runs validate on every envelope before encoding it.
 
-Decoding parses with one shared JSON decoder and walks the tree once,
+decode parses with one shared JSON decoder and walks the tree once,
 reading each fixed-key object in one call when each of its members holds
-its wire type.  decode returns what the walk built.  decode_checked, which
-a node runs on every inbound frame, refuses a frame whose envelope
-validate would find problems in, with validate's message and order; it
-skips only the checks of "Data", which the walk has made true: a decoded
-"Data" holds at least one group, and each of its measurements is a str.
+its wire type.  decode_checked, which a node runs on every inbound frame,
+then refuses an envelope with any of validate's problems, listed in
+validate's order.  It skips only the checks of "Data", which the walk has
+made true: a decoded "Data" holds at least one group, and each of its
+measurements is a str.
 
 The decoder is liberal: arbitrary whitespace between JSON tokens and any
 key order, numeric fields quoted as strings, timestamps with or without
@@ -282,7 +279,6 @@ class Measurement:
     default: str  # value of a field the wire or the sample leaves out
 
 
-# group, wire group, block field, wire path, NormalizedSample attribute, default
 MEASUREMENTS = tuple(Measurement(*row) for row in (
     ("ptu", "PTU", "air_pressure", ("Air-Pressure",), "air_pressure_hpa", ""),
     ("ptu", "PTU", "air_temperature", ("Air-Temperature",), "air_temperature_c", ""),
@@ -361,13 +357,28 @@ class ValidationReport:
         return not self.problems
 
 
+# code -> (the test that an envelope carries the payload the code needs, the
+# problem when it does not); a code not listed carries no payload
+_NO_PAYLOAD = (lambda e: e.data is None and e.info is None and e.retrieve is None, "unexpected payload for code %d")
+_PAYLOAD_RULE = {
+    code: (carried, "payload missing for retrieval code %d")
+    for code, carried in (
+        (ProtocolCode.SERVICES_AVAILABLE_R, lambda e: e.info is not None and e.info.services is not None),
+        (ProtocolCode.LIST_PEERS_R, lambda e: e.info is not None and e.info.peers is not None),
+        (ProtocolCode.ON_DEMAND_DATA, lambda e: e.retrieve is not None),
+        (ProtocolCode.REAL_TIME_DATA_R, lambda e: e.data is not None),
+        (ProtocolCode.ON_DEMAND_DATA_R, lambda e: e.data is not None),
+    )
+}
+
+
 def _said(text: str, value) -> tuple:
     # the problem of a value that a check refuses: text, with the value at its %r
     return (text % (value,) if "%r" in text else text,)
 
 
 def _within(low: int, high: float, text: str):
-    """The check of an int member: _said(text) unless the value is an int from low to high (True counts as 1)."""
+    """The check of an int member: _said(text) unless the value is an int from low to high (True and False included)."""
     return lambda value: () if isinstance(value, int) and low <= value <= high else _said(text, value)
 
 
@@ -457,163 +468,6 @@ _PEER_TABLE = (  # its problems follow those of the listing key, the peer's id
 )
 
 
-def _template(tree: dict) -> tuple:
-    """Compile an object with fixed keys: (format string, slot names in wire order).
-
-    Each leaf of tree names a slot, which the format leaves as ``%s``;
-    keys are sorted at every depth, as on the wire.
-    """
-    slots = []
-
-    def render(node: dict) -> str:
-        members = []
-        for key in sorted(node):
-            value = node[key]
-            if isinstance(value, dict):
-                text = render(value)
-            else:
-                slots.append(value)
-                text = "%s"
-            members.append("%s : %s" % (_quote(key).replace("%", "%%"), text))
-        return "{ %s }" % ", ".join(members)
-
-    return render(tree), tuple(slots)
-
-
-def _getter(names: tuple):
-    # the named attributes of an object as a tuple, even for a single name
-    get = operator.attrgetter(*names)
-    return get if len(names) > 1 else lambda obj: (get(obj),)
-
-
-def _items(keys: tuple):
-    # the values at keys of a dict as a tuple; KeyError if one is absent
-    if len(keys) < 2:  # itemgetter of one key returns the bare value
-        raise TypeError("a decoding table reads two keys or more, not %r" % (keys,))
-    return operator.itemgetter(*keys)
-
-
-def _declared(cls, attrs, keys) -> None:
-    # a table builds cls by position, so it names cls's fields in their order, each at a key of its own
-    names = tuple(field.name for field in fields(cls))
-    if names != tuple(attrs) or len(set(keys)) != len(keys):
-        raise TypeError("%s declares %r, its table reads %r at %r" % (cls.__name__, names, tuple(attrs), tuple(keys)))
-
-
-def _text(value) -> str:
-    """Canonical text of one value: a JSON string, or the digits of an integer."""
-    if type(value) is str:
-        return _quote(value)
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, bool):
-        raise EncodeError("boolean values never appear on the wire")
-    if isinstance(value, int):
-        return int.__repr__(value)  # also for an IntEnum, whose str() is its name on Python 3.10
-    if isinstance(value, str):
-        return _quote(value)
-    raise EncodeError("cannot encode value of type %s" % type(value).__name__)
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool):
-        raise SchemaError('"%s" is not an integer' % name)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str) and _NUMERAL_RE.fullmatch(value):
-        try:
-            return int(value, 10)
-        except ValueError:  # past int()'s digit limit
-            pass
-    raise SchemaError('"%s" is not an integer' % name)
-
-
-def _as_str(value, name: str) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    raise SchemaError('"%s" is not a string' % name)
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise SchemaError('missing "%s" member in %s' % (key, where))
-    return mapping[key]
-
-
-def _member(member: dict, key: str, kind, where: str):
-    value = _require(member, key, where)
-    return _as_int(value, key) if kind is int else _as_str(value, key)
-
-
-def _parsed(key: str, parse, text: str):
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise SchemaError('"%s" malformed: %s' % (key, exc))
-
-
-def _compile(cls, table: tuple) -> tuple:
-    """(text, read, check, exact) of a fixed-key object, built from its member table.
-
-    A str or int member travels as itself; a member of another type travels
-    as its text, read with the type's parse and written with its render.
-    text(obj) renders obj.  read(member, where) builds a cls from a decoded
-    object; of its absent or mistyped members, the first is the
-    SchemaError, those read from text checked first.  check(obj, problems)
-    adds obj's problems in validate's order.  exact(obj) says that obj is a
-    cls whose members hold exactly their types.
-    """
-    keys, attrs, types, places, checks = zip(*table)
-    _declared(cls, attrs, keys)
-    kinds = tuple(kind if kind in (str, int) else str for kind in types)  # as each member arrives
-    parsed = tuple((at, key, kind.parse) for at, (key, kind) in enumerate(zip(keys, types)) if kind not in (str, int))
-    form, slots = _template(dict(zip(keys, attrs)))
-    slot_values, rendered = _getter(slots), tuple(slots.index(attrs[at]) for at, _, _ in parsed)
-    wire_values, own_values = _items(keys), _getter(attrs)
-    order = sorted(range(len(table)), key=places.__getitem__)
-    checks, checked_values = tuple(checks[at] for at in order), _getter(tuple(attrs[at] for at in order))
-
-    def text(obj) -> str:
-        values = slot_values(obj)
-        if rendered:
-            values = list(values)
-            for at in rendered:
-                values[at] = values[at].render()
-        return form % tuple([_text(value) for value in values])
-
-    def read(member: dict, where: str):
-        try:
-            found = wire_values(member)
-            if tuple(map(type, found)) != kinds:
-                raise KeyError
-        except KeyError:  # one by one, for the error
-            for _, key, parse in parsed:
-                _parsed(key, parse, _member(member, key, str, where))
-            found = [_member(member, key, kind, where) for key, kind in zip(keys, kinds)]
-        if parsed:
-            found = list(found)
-            for at, key, parse in parsed:
-                found[at] = _parsed(key, parse, found[at])
-        return cls(*found)
-
-    def check(obj, problems: list) -> None:
-        for member_check, value in zip(checks, checked_values(obj)):
-            found = member_check(value)
-            if found:
-                problems += found
-
-    def exact(obj) -> bool:
-        return type(obj) is cls and tuple(map(type, own_values(obj))) == types
-
-    return text, read, check, exact
-
-
-_meta_text, _read_meta, _check_meta, _ = _compile(MetaInfo, _META_TABLE)
-_peer_text, _read_peer, _check_peer, _exact_peer = _compile(PeerEntry, _PEER_TABLE)
-
-
 # The memo of the module docstring.  A listing member changes only when its
 # peer does.  Entries are matched by identity, never by ==: an equal entry may
 # hold True where 1 was checked.  Each member is one tuple stored in a single
@@ -622,20 +476,6 @@ _peer_text, _read_peer, _check_peer, _exact_peer = _compile(PeerEntry, _PEER_TAB
 # change or to render otherwise.
 _MEMBERS_MAX = 1024
 _members: dict = {}  # exact-str node id -> (PeerEntry, its rendered listing member)
-
-# code -> (the test that an envelope carries the payload the code needs, the
-# problem when it does not); a code not listed carries no payload
-_NO_PAYLOAD = (lambda e: e.data is None and e.info is None and e.retrieve is None, "unexpected payload for code %d")
-_PAYLOAD_RULE = {
-    code: (carried, "payload missing for retrieval code %d")
-    for code, carried in (
-        (ProtocolCode.SERVICES_AVAILABLE_R, lambda e: e.info is not None and e.info.services is not None),
-        (ProtocolCode.LIST_PEERS_R, lambda e: e.info is not None and e.info.peers is not None),
-        (ProtocolCode.ON_DEMAND_DATA, lambda e: e.retrieve is not None),
-        (ProtocolCode.REAL_TIME_DATA_R, lambda e: e.data is not None),
-        (ProtocolCode.ON_DEMAND_DATA_R, lambda e: e.data is not None),
-    )
-}
 
 
 def validate(envelope: Envelope) -> ValidationReport:
@@ -726,29 +566,134 @@ def _retrieve_problems(retrieve: RetrieveRequest) -> list:
     return problems
 
 
-def _path_tree(rows) -> dict:
-    # wire paths -> nested keys, each leaf naming its block field
-    tree = {}
+def _template(tree: dict) -> tuple:
+    # an object with fixed keys as (format string, slot names in wire order):
+    # each leaf of tree names a slot, which the format leaves as %s; keys are
+    # sorted at every depth, as on the wire
+    slots = []
+
+    def render(node: dict) -> str:
+        members = []
+        for key in sorted(node):
+            value = node[key]
+            if isinstance(value, dict):
+                text = render(value)
+            else:
+                slots.append(value)
+                text = "%s"
+            members.append("%s : %s" % (_quote(key).replace("%", "%%"), text))
+        return "{ %s }" % ", ".join(members)
+
+    return render(tree), tuple(slots)
+
+
+def _getter(names: tuple, get=operator.attrgetter):
+    # get(*names), an attrgetter or itemgetter, returning a tuple even for a single name
+    one = get(*names)
+    return one if len(names) > 1 else lambda obj: (one(obj),)
+
+
+def _declared(cls, attrs, keys) -> None:
+    # a table builds cls by position, so it names cls's fields in their order, each at a key of its own
+    names = tuple(field.name for field in fields(cls))
+    if names != tuple(attrs) or len(set(keys)) != len(keys):
+        raise TypeError("%s declares %r, its table reads %r at %r" % (cls.__name__, names, tuple(attrs), tuple(keys)))
+
+
+def _compile(cls, table: tuple) -> tuple:
+    """(text, read, check, exact) of a fixed-key object, built from its member table.
+
+    A str or int member travels as itself; a member of another type travels
+    as its text, read with the type's parse and written with its render.
+    text(obj) renders obj.  read(member, where) builds a cls from a decoded
+    object, its members' values read in one call when each holds its wire
+    type; otherwise the first of its absent or mistyped members, those read
+    from text first, is the SchemaError.  check(obj, problems) adds obj's
+    problems in validate's order.  exact(obj) says that obj is a cls whose
+    members hold exactly their types.
+    """
+    keys, attrs, types, places, checks = zip(*table)
+    _declared(cls, attrs, keys)
+    kinds = tuple(kind if kind in (str, int) else str for kind in types)  # as each member arrives
+    parsed = tuple(at for at, kind in enumerate(types) if kind not in (str, int))
+    first = sorted(range(len(table)), key=lambda at: at not in parsed)
+    form, slots = _template(dict(zip(keys, attrs)))
+    slot_values, rendered = _getter(slots), tuple(slots.index(attrs[at]) for at in parsed)
+    wire_values, own_values = _getter(keys, operator.itemgetter), _getter(attrs)
+    order = sorted(range(len(table)), key=places.__getitem__)
+    checks, checked_values = tuple(checks[at] for at in order), _getter(tuple(attrs[at] for at in order))
+
+    def text(obj) -> str:
+        values = slot_values(obj)
+        if rendered:
+            values = list(values)
+            for at in rendered:
+                values[at] = values[at].render()
+        return form % tuple([_text(value) for value in values])
+
+    def read(member: dict, where: str):
+        try:
+            found = wire_values(member)
+            if tuple(map(type, found)) != kinds:
+                raise KeyError
+        except KeyError:  # one by one, for the error
+            found = [None] * len(keys)
+            for at in first:
+                found[at] = _member(member, keys[at], types[at], where)
+            return cls(*found)
+        if parsed:
+            found = list(found)
+            for at in parsed:
+                found[at] = _parsed(keys[at], types[at], found[at])
+        return cls(*found)
+
+    def check(obj, problems: list) -> None:
+        for member_check, value in zip(checks, checked_values(obj)):
+            found = member_check(value)
+            if found:
+                problems += found
+
+    def exact(obj) -> bool:
+        return type(obj) is cls and tuple(map(type, own_values(obj))) == types
+
+    return text, read, check, exact
+
+
+_meta_text, _read_meta, _check_meta, _ = _compile(MetaInfo, _META_TABLE)
+_peer_text, _read_peer, _check_peer, _exact_peer = _compile(PeerEntry, _PEER_TABLE)
+
+
+def _compile_group(block, rows) -> tuple:
+    """(wire key, member format, getter of a block's values in slot order, holders) of a "Data" group.
+
+    A holder is (keys of an object holding leaves, a reader of its leaves'
+    values in one call, ((leaf key, default), ...)).  The decoder builds the
+    block by position from the values of the leaves in table order, so the
+    table's order must be the block's.
+    """
+    held, tree = {}, {}
     for row in rows:
+        held.setdefault(row.path[:-1], []).append(row)
         holder = tree
         for key in row.path[:-1]:
             holder = holder.setdefault(key, {})
         holder[row.path[-1]] = row.field
-    return tree
-
-
-def _group_format(wire_key: str, rows) -> tuple:
-    form, fields = _template(_path_tree(rows))
-    return _quote(wire_key) + " : " + form, _getter(fields)
+    _declared(block, [row.field for leaves in held.values() for row in leaves], [row.path for row in rows])
+    form, slots = _template(tree)
+    holders = tuple(
+        (keys, _getter(tuple(row.path[-1] for row in leaves), operator.itemgetter),
+         tuple((row.path[-1], row.default) for row in leaves))
+        for keys, leaves in held.items()
+    )
+    return rows[0].wire_group, _quote(rows[0].wire_group) + " : " + form, _getter(slots), holders
 
 
 # the parts of a message that never change, compiled once from the tables above:
-# "Data" groups in wire order as (WeatherData attribute, member format, getter
-# of the block's values in slot order)
-_DATA_FORMATS = tuple(
-    (name, *_group_format(wire_key, rows))
-    for wire_key, name, rows in sorted((rows[0].wire_group, name, rows) for name, (_, rows) in MEASUREMENT_GROUPS.items())
-)
+# "Data" groups in WeatherData's field order, as (attribute, block type, wire
+# key, member format, values getter, holders), the encoder taking them in wire order
+_DATA_GROUPS = tuple((name, block, *_compile_group(block, rows)) for name, (block, rows) in MEASUREMENT_GROUPS.items())
+_declared(WeatherData, MEASUREMENT_GROUPS, [group[2] for group in _DATA_GROUPS])
+_DATA_FORMATS = sorted(_DATA_GROUPS, key=operator.itemgetter(2))
 _RETRIEVE_FORMAT, _ = _template({"D": "services", "Timestamp": "timestamp"})
 # the whole message around each payload member (None: header only)
 _ENVELOPE_FORMATS = {
@@ -757,16 +702,27 @@ _ENVELOPE_FORMATS = {
 }
 
 
+def _text(value) -> str:
+    """Canonical text of one value: a JSON string, or the digits of an integer."""
+    if isinstance(value, str):
+        return _quote(value)
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, bool):
+        raise EncodeError("boolean values never appear on the wire")
+    if isinstance(value, int):
+        return int.__repr__(value)  # also for an IntEnum, whose str() is its name on Python 3.10
+    raise EncodeError("cannot encode value of type %s" % type(value).__name__)
+
+
 def _key(key) -> str:
     # a key of a valid message is always text; json.dumps renders any other as the old renderer did
     return _quote(key) if type(key) is str else json.dumps(key, ensure_ascii=False)
 
 
-def _object(members: dict, render) -> str:
-    # an object whose keys vary: members in key order, each value through render
-    if not members:
-        return "{ }"
-    return "{ %s }" % ", ".join(["%s : %s" % (_key(key), render(members[key])) for key in sorted(members)])
+def _braced(members: list) -> str:
+    # an object of rendered members, in the order given
+    return "{ %s }" % ", ".join(members) if members else "{ }"
 
 
 # Each fill gathers its slot values in a list before making the tuple: tuple()
@@ -775,16 +731,16 @@ def _object(members: dict, render) -> str:
 # (up to 2000 per size, about 0.3 MB on a streaming node).
 def _data_text(data: WeatherData) -> str:
     members = []
-    for name, form, values in _DATA_FORMATS:
+    for name, _, _, form, values, _ in _DATA_FORMATS:
         block = getattr(data, name)
         if block is not None:
             members.append(form % tuple([_text(value) for value in values(block)]))
-    return "{ %s }" % ", ".join(members) if members else "{ }"
+    return _braced(members)
 
 
 def _listing_text(peers: dict, clean: bool) -> str:
-    # what _object(peers, _peer_text) renders, taking each member the memo
-    # holds for that exact entry; a clean listing's other members are kept
+    # the members in key order, taking each that the memo holds for that exact
+    # entry; a clean listing's other members are kept
     members = _members
     texts = []
     for node_id in sorted(peers):
@@ -801,18 +757,7 @@ def _listing_text(peers: dict, clean: bool) -> str:
                 members.clear()
             members[node_id] = (entry, text)
         texts.append(text)
-    return "{ %s }" % ", ".join(texts) if texts else "{ }"
-
-
-def _info_text(info: InfoPayload, clean: bool) -> str:
-    if info.services is not None:
-        return '{ "Services" : %s }' % _object(info.services, _text)
-    return '{ "Peers" : %s }' % _listing_text(info.peers, clean)
-
-
-def _retrieve_text(retrieve: RetrieveRequest) -> str:
-    services = ", ".join(map(_text, retrieve.services))
-    return _RETRIEVE_FORMAT % ("[ %s ]" % services if services else "[ ]", _text(retrieve.timestamp))
+    return _braced(texts)
 
 
 def _payload_text(envelope: Envelope, clean: bool = False) -> tuple:
@@ -820,12 +765,17 @@ def _payload_text(envelope: Envelope, clean: bool = False) -> tuple:
 
     clean says that validate passed the envelope, so its listing members may be memoised.
     """
-    if envelope.data is not None:
-        return "Data", _data_text(envelope.data)
-    if envelope.info is not None:
-        return "Info", _info_text(envelope.info, clean)
-    if envelope.retrieve is not None:
-        return "Retrieve", _retrieve_text(envelope.retrieve)
+    data, info, retrieve = envelope.data, envelope.info, envelope.retrieve
+    if data is not None:
+        return "Data", _data_text(data)
+    if info is not None and info.services is not None:
+        catalog = _braced(["%s : %s" % (_key(name), _text(info.services[name])) for name in sorted(info.services)])
+        return "Info", '{ "Services" : %s }' % catalog
+    if info is not None:
+        return "Info", '{ "Peers" : %s }' % _listing_text(info.peers, clean)
+    if retrieve is not None:
+        services = ", ".join(map(_text, retrieve.services))
+        return "Retrieve", _RETRIEVE_FORMAT % ("[ %s ]" % services if services else "[ ]", _text(retrieve.timestamp))
     return None, None
 
 
@@ -848,34 +798,56 @@ def payload_fragment(envelope: Envelope) -> str | None:
     return _payload_text(envelope)[1]
 
 
-# The decoder's walk of "Data", compiled once from MEASUREMENTS as encoding is:
-# each holding object's leaves are read in one call and each block is built
-# by position, so the table's order must be the block's.
+def _as_int(value, name: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _NUMERAL_RE.fullmatch(value):
+        try:
+            return int(value, 10)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise SchemaError('"%s" is not an integer' % name)
 
 
-def _holders(block, rows) -> tuple:
-    # ((keys of the object holding the values, read its leaves, ((leaf key, default), ...)), ...)
-    held = {}
-    for row in rows:
-        held.setdefault(row.path[:-1], []).append(row)
-    _declared(block, [row.field for leaves in held.values() for row in leaves], [row.path for row in rows])
-    return tuple(
-        (keys, _items(tuple(row.path[-1] for row in leaves)), tuple((row.path[-1], row.default) for row in leaves))
-        for keys, leaves in held.items()
-    )
+def _as_str(value, name: str) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise SchemaError('"%s" is not a string' % name)
 
 
-# "Data" groups in WeatherData's field order: (wire key, block type, holders)
-_DATA_WALK = tuple((rows[0].wire_group, block, _holders(block, rows)) for block, rows in MEASUREMENT_GROUPS.values())
-_declared(WeatherData, MEASUREMENT_GROUPS, [rows[0].wire_group for _, rows in MEASUREMENT_GROUPS.values()])
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError('"%s" is not an object' % name)
+    return value
+
+
+def _require(mapping: dict, key: str, where: str):
+    if key not in mapping:
+        raise SchemaError('missing "%s" member in %s' % (key, where))
+    return mapping[key]
+
+
+def _parsed(key: str, kind, text: str):
+    try:
+        return kind.parse(text)
+    except ValueError as exc:
+        raise SchemaError('"%s" malformed: %s' % (key, exc))
+
+
+def _member(member: dict, key: str, kind, where: str):
+    # the value at key as kind: an int, a str, or another type parsed from its text
+    value = _require(member, key, where)
+    if kind is int:
+        return _as_int(value, key)
+    return _as_str(value, key) if kind is str else _parsed(key, kind, _as_str(value, key))
 
 
 def _walk_data(member) -> WeatherData | None:
-    if not isinstance(member, dict):
-        raise SchemaError('"Data" is not an object')
+    member = _object(member, "Data")
     blocks = []
-    present = False
-    for wire_key, block, holders in _DATA_WALK:
+    for _, block, wire_key, _, _, holders in _DATA_GROUPS:
         if wire_key not in member:
             blocks.append(None)
             continue
@@ -893,8 +865,7 @@ def _walk_data(member) -> WeatherData | None:
         except (KeyError, TypeError):
             values = _group_leaves(group, wire_key, holders)
         blocks.append(block(*values))
-        present = True
-    return WeatherData(*blocks) if present else None
+    return WeatherData(*blocks) if any(blocks) else None
 
 
 def _group_leaves(group, wire_key: str, holders: tuple) -> list:
@@ -909,36 +880,21 @@ def _group_leaves(group, wire_key: str, holders: tuple) -> list:
     for keys, _, leaves in holders:
         holder, where = group, wire_key
         for key in keys:
-            if not isinstance(holder, dict):
-                raise SchemaError('"%s" is not an object' % where)
-            holder, where = holder.get(key, {}), key
-        if not isinstance(holder, dict):
-            raise SchemaError('"%s" is not an object' % where)
-        for key, value in holder.items():
-            if not isinstance(value, dict):
-                _as_str(value, key)
-        for key, default in leaves:
-            value = holder.get(key, default)
-            values.append(default if isinstance(value, dict) else _as_str(value, key))
+            holder, where = _object(holder, where).get(key, {}), key
+        found = {key: _as_str(value, key) for key, value in _object(holder, where).items() if not isinstance(value, dict)}
+        values += [found.get(key, default) for key, default in leaves]
     return values
 
 
 def _walk_info(member) -> InfoPayload:
-    if not isinstance(member, dict):
-        raise SchemaError('"Info" is not an object')
+    member = _object(member, "Info")
     if "Services" in member and "Peers" in member:
         raise SchemaError('"Info" carries both a catalog and a listing')
     if "Services" in member:
-        catalog = member["Services"]
-        if not isinstance(catalog, dict):
-            raise SchemaError('"Services" is not an object')
-        return InfoPayload(services={k: _as_str(v, k) for k, v in catalog.items()})
+        return InfoPayload(services={k: _as_str(v, k) for k, v in _object(member["Services"], "Services").items()})
     if "Peers" in member:
-        listing = member["Peers"]
-        if not isinstance(listing, dict):
-            raise SchemaError('"Peers" is not an object')
         peers = {}
-        for node_id, entry in listing.items():
+        for node_id, entry in _object(member["Peers"], "Peers").items():
             if not isinstance(entry, dict):
                 raise SchemaError("peer entry %r is not an object" % (node_id,))
             peers[node_id] = _read_peer(entry, "peer entry")
@@ -947,8 +903,7 @@ def _walk_info(member) -> InfoPayload:
 
 
 def _walk_retrieve(member) -> RetrieveRequest:
-    if not isinstance(member, dict):
-        raise SchemaError('"Retrieve" is not an object')
+    member = _object(member, "Retrieve")
     wanted = member.get("D", [])
     if isinstance(wanted, str):
         wanted = [wanted]
@@ -964,8 +919,12 @@ def _walk_retrieve(member) -> RetrieveRequest:
 _JSON = json.JSONDecoder(parse_float=str)
 
 
-def _parse(raw):
-    """The JSON tree of wire bytes (or text)."""
+def decode(raw) -> Envelope:
+    """Parse wire bytes (or text) into an Envelope, liberally and unchecked.
+
+    Raises ParseError for bad JSON, SchemaError for missing or mistyped
+    members, UnknownCodeError for a Type outside the registry.
+    """
     if isinstance(raw, (bytes, bytearray)):
         try:
             text = raw.decode("utf-8")
@@ -978,32 +937,18 @@ def _parse(raw):
     try:
         if text.startswith("\ufeff"):  # json.loads refuses a byte order mark; the decoder alone would not
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _JSON.decode(text)
+        tree = _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON at offset %d: %s" % (exc.pos, exc.msg), offset=exc.pos)
     except (RecursionError, ValueError) as exc:  # nesting too deep, integer literal too long
         raise ParseError("unparseable JSON: %s" % exc)
-
-
-def decode(raw) -> Envelope:
-    """Parse wire bytes (or text) into an Envelope, liberally and unchecked.
-
-    Raises ParseError for bad JSON, SchemaError for missing or mistyped
-    members, UnknownCodeError for a Type outside the registry.
-    """
-    tree = _parse(raw)
     if not isinstance(tree, dict) or "OpenWeatherMessage" not in tree:
         raise SchemaError('missing "OpenWeatherMessage" member')
-    body = tree["OpenWeatherMessage"]
-    if not isinstance(body, dict):
-        raise SchemaError('"OpenWeatherMessage" is not an object')
+    body = _object(tree["OpenWeatherMessage"], "OpenWeatherMessage")
     code = _as_int(_require(body, "Type", "OpenWeatherMessage"), "Type")
     if not is_registered(code):
         raise UnknownCodeError(code)
-    meta = _require(body, "MetaInfo", "OpenWeatherMessage")
-    if not isinstance(meta, dict):
-        raise SchemaError('"MetaInfo" is not an object')
-    meta = _read_meta(meta, "MetaInfo")
+    meta = _read_meta(_object(_require(body, "MetaInfo", "OpenWeatherMessage"), "MetaInfo"), "MetaInfo")
 
     data_member = body.get("Data")
     retrieve_member = body.get("Retrieve", body.get("Retrive"))

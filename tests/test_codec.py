@@ -677,7 +677,7 @@ def field(name: str):
 TABLES = {
     "header": (lambda rows: codec._compile(MetaInfo, rows), codec._META_TABLE, cell(0), cell(1)),
     "peer entry": (lambda rows: codec._compile(PeerEntry, rows), codec._PEER_TABLE, cell(0), cell(1)),
-    "PTU group": (lambda rows: codec._holders(PtuBlock, rows), codec.MEASUREMENT_GROUPS["ptu"][1], field("path"),
+    "PTU group": (lambda rows: codec._compile_group(PtuBlock, rows), codec.MEASUREMENT_GROUPS["ptu"][1], field("path"),
                   field("field")),
 }
 
