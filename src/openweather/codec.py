@@ -169,10 +169,8 @@ def parse_timestamp(text: str) -> int:
 def _normalized_timestamp(text: str) -> str:
     # store the emitted form (with Z) whenever the text parses at all; a text
     # ending in Z already is in that form or does not parse
-    if isinstance(text, str) and not text.endswith("Z"):
-        found = _TIMESTAMP_RE.fullmatch(text)
-        if found is not None and not found.group(7):
-            return text + "Z"
+    if isinstance(text, str) and not text.endswith("Z") and _TIMESTAMP_RE.fullmatch(text):
+        return text + "Z"
     return text
 
 
@@ -823,12 +821,6 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise SchemaError('missing "%s" member in %s' % (key, where))
-    return mapping[key]
-
-
 def _parsed(key: str, kind, text: str):
     try:
         return kind.parse(text)
@@ -837,10 +829,14 @@ def _parsed(key: str, kind, text: str):
 
 
 def _member(member: dict, key: str, kind, where: str):
-    # the value at key as kind: an int, a str, or another type parsed from its text
-    value = _require(member, key, where)
+    # the value at key as kind: an int, a str, an object, or another type parsed from its text
+    if key not in member:
+        raise SchemaError('missing "%s" member in %s' % (key, where))
+    value = member[key]
     if kind is int:
         return _as_int(value, key)
+    if kind is dict:
+        return _object(value, key)
     return _as_str(value, key) if kind is str else _parsed(key, kind, _as_str(value, key))
 
 
@@ -910,7 +906,7 @@ def _walk_retrieve(member) -> RetrieveRequest:
     if not isinstance(wanted, list):
         raise SchemaError('"D" is not a list of service names')
     services = tuple(_as_str(item, "D") for item in wanted)
-    timestamp = _as_str(_require(member, "Timestamp", "Retrieve"), "Timestamp")
+    timestamp = _member(member, "Timestamp", str, "Retrieve")
     return RetrieveRequest(services, timestamp)
 
 
@@ -945,10 +941,10 @@ def decode(raw) -> Envelope:
     if not isinstance(tree, dict) or "OpenWeatherMessage" not in tree:
         raise SchemaError('missing "OpenWeatherMessage" member')
     body = _object(tree["OpenWeatherMessage"], "OpenWeatherMessage")
-    code = _as_int(_require(body, "Type", "OpenWeatherMessage"), "Type")
+    code = _member(body, "Type", int, "OpenWeatherMessage")
     if not is_registered(code):
         raise UnknownCodeError(code)
-    meta = _read_meta(_object(_require(body, "MetaInfo", "OpenWeatherMessage"), "MetaInfo"), "MetaInfo")
+    meta = _read_meta(_member(body, "MetaInfo", dict, "OpenWeatherMessage"), "MetaInfo")
 
     data_member = body.get("Data")
     retrieve_member = body.get("Retrieve", body.get("Retrive"))
