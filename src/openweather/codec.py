@@ -355,6 +355,8 @@ class ValidationReport:
         return not self.problems
 
 
+_CLEAN = ValidationReport(())  # a frozen report holds nothing to change, so every clean envelope shares one
+
 # code -> (the test that an envelope carries the payload the code needs, the
 # problem when it does not); a code not listed carries no payload
 _NO_PAYLOAD = (lambda e: e.data is None and e.info is None and e.retrieve is None, "unexpected payload for code %d")
@@ -375,9 +377,18 @@ def _said(text: str, value) -> tuple:
     return (text % (value,) if "%r" in text else text,)
 
 
-def _within(low: int, high: float, text: str):
-    """The check of an int member: _said(text) unless the value is an int from low to high (True and False included)."""
-    return lambda value: () if isinstance(value, int) and low <= value <= high else _said(text, value)
+def _within(low: int, high: float, text: str, above: str = "", bools: bool = True) -> tuple:
+    """An int member's (low, high, check): check passes an int from low to high (True and False
+    too when bools), gives above, if any, for a larger int and _said(text) for any other value."""
+    def check(value) -> tuple:
+        if isinstance(value, int) and (bools or not isinstance(value, bool)) and low <= value:
+            if value <= high:
+                return ()
+            if above:
+                return (above,)
+        return _said(text, value)
+
+    return low, high, check
 
 
 def _unless(test, text: str):
@@ -397,12 +408,12 @@ def _parses(parse, errors):
     return test
 
 
-# A node sees the same few ids, addresses, seconds and versions over and over,
-# so the checks of exact str values are memoised.  Another value may be
-# unhashable, and a str subclass hashes like its text yet ipaddress reads it
-# through its __str__.  Only text up to _MEMO_LEN characters is kept: any id,
-# address or timestamp fits, while a longer string from a peer (a frame may
-# hold up to 64 KiB) stays unreferenced once its frame is handled.
+# A node sees the same few ids, addresses and seconds over and over, so the
+# checks of exact str values are memoised.  Another value may be unhashable,
+# and a str subclass hashes like its text yet ipaddress reads it through its
+# __str__.  Only text up to _MEMO_LEN characters is kept: any id, address or
+# timestamp fits, while a longer string from a peer (a frame may hold up to
+# 64 KiB) stays unreferenced once its frame is handled.
 _MEMO_LEN = 64
 
 
@@ -420,7 +431,8 @@ def _memo(check):
 _id_check = _memo(_unless(is_node_id, "node id is not 64 lowercase hex characters"))
 _address_check = _memo(_unless(_parses(ipaddress.ip_address, ValueError), "peer ip %r is not a valid address"))
 _timestamp_check = _memo(_unless(_parses(parse_timestamp, (TypeError, ValueError)), "timestamp malformed"))
-_version_check = _memo(_unless(lambda v: isinstance(v, str) and _VERSION_RE.fullmatch(v), "version malformed"))
+# _unless with this test would cost two calls per header, not one
+_version_check = lambda v: () if isinstance(v, str) and _VERSION_RE.fullmatch(v) else ("version malformed",)
 
 
 def _location_check(location) -> list:
@@ -436,12 +448,6 @@ def _location_check(location) -> list:
     return problems
 
 
-def _peers_requested_check(value) -> tuple:
-    if not isinstance(value, int) or value < 1:
-        return ("peers_requested below 1",)
-    return ("peers_requested above 100",) if value > 100 else ()
-
-
 # Each header and peer-entry member, described once: a row per member in its
 # dataclass's field order, (wire key, attribute, type, place among validate's
 # problems, check).  _compile builds what encoding, decoding, validate and the
@@ -450,12 +456,12 @@ _META_TABLE = (
     ("ID", "node_id", str, 0, _id_check),
     ("Peer-IP", "peer_ip", str, 1, _address_check),
     ("Location", "location", UtmLocation, 3, _location_check),
-    ("Bandwidth", "bandwidth", int, 7,  # unlike a peer entry's, it refuses True and False
-     lambda v: () if isinstance(v, int) and not isinstance(v, bool) and v >= 0 else ("bandwidth below 0",)),
+    # unlike a peer entry's, it refuses True and False
+    ("Bandwidth", "bandwidth", int, 7, _within(0, math.inf, "bandwidth below 0", bools=False)),
     ("Timestamp", "timestamp", str, 8, _timestamp_check),
     ("Port", "port", int, 2, _within(1, 65535, "port %r out of range 1..65535")),
     ("Update-Interval", "update_interval_ms", int, 4, _within(1, math.inf, "update interval not positive")),
-    ("Peers-Requested", "peers_requested", int, 5, _peers_requested_check),
+    ("Peers-Requested", "peers_requested", int, 5, _within(1, 100, "peers_requested below 1", "peers_requested above 100")),
     ("Keep-Alive", "keep_alive_ms", int, 6, _within(1, math.inf, "keep alive not positive")),
     ("Version", "version", str, 9, _version_check),
 )
@@ -478,7 +484,8 @@ _members: dict = {}  # exact-str node id -> (PeerEntry, its rendered listing mem
 
 def validate(envelope: Envelope) -> ValidationReport:
     """Check every invariant; returns a report rather than raising."""
-    return ValidationReport(tuple(_problems(envelope)))
+    problems = _problems(envelope)
+    return ValidationReport(tuple(problems)) if problems else _CLEAN
 
 
 def _problems(envelope: Envelope, decoded: bool = False) -> list:
@@ -619,7 +626,9 @@ def _compile(cls, table: tuple) -> tuple:
     slot_values, rendered = _getter(slots), tuple(slots.index(attrs[at]) for at in parsed)
     wire_values, own_values = _getter(keys, operator.itemgetter), _getter(attrs)
     order = sorted(range(len(table)), key=places.__getitem__)
-    checks, checked_values = tuple(checks[at] for at in order), _getter(tuple(attrs[at] for at in order))
+    checked_values = _getter(tuple(attrs[at] for at in order))
+    # an int member's check comes with its bounds: an exact int within them needs no call
+    lows, highs, checks = zip(*(checks[at] if type(checks[at]) is tuple else (None, None, checks[at]) for at in order))
 
     def text(obj) -> str:
         values = slot_values(obj)
@@ -627,7 +636,7 @@ def _compile(cls, table: tuple) -> tuple:
             values = list(values)
             for at in rendered:
                 values[at] = values[at].render()
-        return form % tuple([_text(value) for value in values])
+        return form % _texts(values)
 
     def read(member: dict, where: str):
         try:
@@ -646,10 +655,11 @@ def _compile(cls, table: tuple) -> tuple:
         return cls(*found)
 
     def check(obj, problems: list) -> None:
-        for member_check, value in zip(checks, checked_values(obj)):
-            found = member_check(value)
-            if found:
-                problems += found
+        for value, low, high, member_check in zip(checked_values(obj), lows, highs, checks):
+            if low is None or type(value) is not int or not low <= value <= high:
+                found = member_check(value)
+                if found:
+                    problems += found
 
     def exact(obj) -> bool:
         return type(obj) is cls and tuple(map(type, own_values(obj))) == types
@@ -713,6 +723,15 @@ def _text(value) -> str:
     raise EncodeError("cannot encode value of type %s" % type(value).__name__)
 
 
+def _texts(values) -> tuple:
+    # (_text(value), ...), with no call of _text for an exact str or int.  The
+    # texts go in a list before the tuple: tuple() of an iterator of unknown
+    # length guesses ten items and shrinks the result, which strands one tuple
+    # per call on the interpreter's free list for its size (up to 2000 per
+    # size, about 0.3 MB on a streaming node).
+    return tuple([_quote(v) if type(v) is str else str(v) if type(v) is int else _text(v) for v in values])
+
+
 def _key(key) -> str:
     # a key of a valid message is always text; json.dumps renders any other as the old renderer did
     return _quote(key) if type(key) is str else json.dumps(key, ensure_ascii=False)
@@ -723,16 +742,12 @@ def _braced(members: list) -> str:
     return "{ %s }" % ", ".join(members) if members else "{ }"
 
 
-# Each fill gathers its slot values in a list before making the tuple: tuple()
-# of an iterator of unknown length guesses ten items and shrinks the result,
-# which strands one tuple per call on the interpreter's free list for its size
-# (up to 2000 per size, about 0.3 MB on a streaming node).
 def _data_text(data: WeatherData) -> str:
     members = []
     for name, _, _, form, values, _ in _DATA_FORMATS:
         block = getattr(data, name)
         if block is not None:
-            members.append(form % tuple([_text(value) for value in values(block)]))
+            members.append(form % _texts(values(block)))
     return _braced(members)
 
 
