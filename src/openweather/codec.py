@@ -461,7 +461,8 @@ _META_TABLE = (
     ("Timestamp", "timestamp", str, 8, _timestamp_check),
     ("Port", "port", int, 2, _within(1, 65535, "port %r out of range 1..65535")),
     ("Update-Interval", "update_interval_ms", int, 4, _within(1, math.inf, "update interval not positive")),
-    ("Peers-Requested", "peers_requested", int, 5, _within(1, 100, "peers_requested below 1", "peers_requested above 100")),
+    ("Peers-Requested", "peers_requested", int, 5,
+     _within(1, 100, "peers_requested below 1", "peers_requested above 100")),
     ("Keep-Alive", "keep_alive_ms", int, 6, _within(1, math.inf, "keep alive not positive")),
     ("Version", "version", str, 9, _version_check),
 )
