@@ -22,9 +22,21 @@ import signal
 import sys
 import threading
 
-from .codec import DEFAULT_PORT, CodecError, EncodeError, UtmLocation, encode, payload_fragment
-from .engine import NodeConfig, default_services
-from .identity import is_node_id, random_node_id
+from .codec import (
+    DEFAULT_BANDWIDTH,
+    DEFAULT_KEEP_ALIVE_MS,
+    DEFAULT_PEERS_REQUESTED,
+    DEFAULT_PORT,
+    DEFAULT_UPDATE_INTERVAL_MS,
+    SERVICES,
+    CodecError,
+    EncodeError,
+    UtmLocation,
+    encode,
+    payload_fragment,
+)
+from .engine import NodeConfig
+from .identity import random_node_id
 from .node import NodeRuntime
 from .peers import BootstrapError, load_bootstrap
 from .scenario import DEFAULT_LOCATION, ScenarioError, SimRunner, parse_scenario
@@ -37,6 +49,8 @@ EXIT_USAGE = 1
 EXIT_TRANSPORT = 2
 EXIT_PROTOCOL = 3
 EXIT_TIMEOUT = 4
+
+_DEFAULT = " (default: %(default)s)"  # a help text's tail
 
 
 class UsageError(ValueError):
@@ -51,9 +65,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_port() -> int:
-    raw = os.environ.get("OWP_PORT")
-    if raw is None:
-        return DEFAULT_PORT
+    raw = os.environ.get("OWP_PORT", str(DEFAULT_PORT))
     try:
         return int(raw, 10)
     except ValueError:
@@ -62,71 +74,64 @@ def _default_port() -> int:
 
 def _node_flags(parser) -> None:
     parser.add_argument("--id", help="64-hex node id (default: random)")
-    parser.add_argument("--ip", default="127.0.0.1", help="advertised IP address")
-    parser.add_argument("--location", default=DEFAULT_LOCATION, metavar='"N E ZONE"')
-    parser.add_argument("--bandwidth", type=int, default=6, help="bandwidth class 0-6")
-    parser.add_argument("--keep-alive", type=int, default=120000, metavar="MS")
-    parser.add_argument("--update-interval", type=int, default=120000, metavar="MS")
-    parser.add_argument("--peers-requested", type=int, default=20, metavar="N")
-    parser.add_argument("--port", type=int, default=None, help="port (default: OWP_PORT or 62535)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--ip", default=NodeConfig.advertise_ip, help="advertised IP address" + _DEFAULT)
+    parser.add_argument("--location", default=DEFAULT_LOCATION, metavar='"N E ZONE"', help="UTM position" + _DEFAULT)
+    parser.add_argument("--bandwidth", type=int, default=DEFAULT_BANDWIDTH, help="bandwidth class 0-6" + _DEFAULT)
+    for flag, default, metavar, text in (
+        ("--keep-alive", DEFAULT_KEEP_ALIVE_MS, "MS", "idle session limit"),
+        ("--update-interval", DEFAULT_UPDATE_INTERVAL_MS, "MS", "peer refresh period"),
+        ("--peers-requested", DEFAULT_PEERS_REQUESTED, "N", "peers to ask for"),
+    ):
+        parser.add_argument(flag, type=int, default=default, metavar=metavar, help=text + _DEFAULT)
+    parser.add_argument("--port", type=int, default=_default_port(), help="port; OWP_PORT sets the default" + _DEFAULT)
+    parser.add_argument("--seed", type=int, default=GeneratorConfig.seed, help="sensor walk seed" + _DEFAULT)
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def build_parser() -> _Parser:
+    """The owp parser; raises UsageError when OWP_PORT is not an integer."""
     parser = _Parser(prog="owp", description="OpenWeather node and client operations")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    run = commands.add_parser("run", parents=[], help="run a node (tcp) or a scripted sim")
+    run = commands.add_parser("run", help="run a node (tcp) or a scripted sim")
     _node_flags(run)
-    run.add_argument("--transport", choices=("tcp", "sim"), default="tcp")
+    run.add_argument("--transport", choices=("tcp", "sim"), default="tcp", help="real node or scripted sim" + _DEFAULT)
     run.add_argument("--scenario", metavar="FILE", help="scenario script (sim transport)")
     run.add_argument("--until", type=int, default=None, metavar="MS", help="sim horizon")
-    run.add_argument("--host", default="127.0.0.1", help="bind address (tcp)")
+    run.add_argument("--host", default="127.0.0.1", help="bind address (tcp)" + _DEFAULT)
     run.add_argument("--bootstrap", metavar="FILE", help="super-node list to preload")
-    run.add_argument("--interval", type=int, default=3000, metavar="MS", help="sensor cadence")
+    run.add_argument(
+        "--interval", type=int, default=GeneratorConfig.interval_ms, metavar="MS", help="sensor cadence" + _DEFAULT
+    )
     run.add_argument("--vendor-input", metavar="FILE", help="replay instrument lines as samples")
     run.add_argument("--mapping", metavar="FILE", help="extra vendor field mappings (TSV)")
 
-    for name, extra in (
-        ("handshake", ()),
-        ("discover", ()),
-        ("peers", ()),
-        ("stream", ("count",)),
-        ("fetch", ("timestamp", "services")),
-    ):
-        sub = commands.add_parser(name, help="one-shot %s against a node" % name)
+    one_shot = {}
+    for name in ("handshake", "discover", "peers", "stream", "fetch"):
+        sub = one_shot[name] = commands.add_parser(name, help="one-shot %s against a node" % name)
         sub.add_argument("host", help="target host")
         _node_flags(sub)
-        if "count" in extra:
-            sub.add_argument("--count", type=int, default=3, help="samples to read")
-        if "timestamp" in extra:
-            sub.add_argument("timestamp", help="stored sample time (RFC 3339)")
-        if "services" in extra:
-            sub.add_argument("--services", default="PTU,WIND,PRECIPITATION", metavar="A,B")
+    one_shot["stream"].add_argument("--count", type=int, default=3, help="samples to read" + _DEFAULT)
+    one_shot["fetch"].add_argument("timestamp", help="stored sample time (RFC 3339)")
+    one_shot["fetch"].add_argument("--services", default=",".join(SERVICES), metavar="A,B", help="services" + _DEFAULT)
     return parser
 
 
 def _build_config(args) -> NodeConfig:
-    if args.id is not None and not is_node_id(args.id):
-        raise UsageError("--id must be 64 lowercase hex characters")
+    """The node's settings; the runtime built from them refuses a header it cannot send."""
     try:
         location = UtmLocation.parse(args.location)
     except ValueError as exc:
         raise UsageError("--location: %s" % exc)
-    port = args.port if args.port is not None else _default_port()
-    if not 1 <= port <= 65535:
-        raise UsageError("port out of range: %d" % port)
     return NodeConfig(
-        node_id=args.id or random_node_id(),
+        node_id=random_node_id() if args.id is None else args.id,
         location=location,
         bandwidth=args.bandwidth,
-        port=port,
+        port=args.port,
         advertise_ip=args.ip,
         update_interval_ms=args.update_interval,
         peers_requested=args.peers_requested,
         keep_alive_ms=args.keep_alive,
-        services=default_services(),
     )
 
 
@@ -152,23 +157,27 @@ def _run_sim(args) -> int:
 
 
 def _sample_source(args):
+    lines = field_map = None
     if args.vendor_input is None:
         if args.mapping is not None:
             raise UsageError("--mapping needs --vendor-input")
-        config = GeneratorConfig(interval_ms=args.interval, seed=args.seed)
-        return SampleGenerator(config)
-    field_map = None
-    if args.mapping is not None:
+    else:
+        if args.mapping is not None:
+            try:
+                field_map = load_field_map(args.mapping)
+            except (OSError, MappingError) as exc:
+                raise UsageError("--mapping: %s" % exc)
         try:
-            field_map = load_field_map(args.mapping)
-        except (OSError, MappingError) as exc:
-            raise UsageError("--mapping: %s" % exc)
+            with open(args.vendor_input, "r", encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except OSError as exc:
+            raise UsageError("cannot read vendor input: %s" % exc)
     try:
-        with open(args.vendor_input, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise UsageError("cannot read vendor input: %s" % exc)
-    return VendorLineSource(lines, interval_ms=args.interval, field_map=field_map)
+        if lines is None:
+            return SampleGenerator(GeneratorConfig(interval_ms=args.interval, seed=args.seed))
+        return VendorLineSource(lines, args.interval, field_map)
+    except ValueError as exc:
+        raise UsageError("--interval: %s" % exc)
 
 
 def _run_tcp(args) -> int:
@@ -218,11 +227,16 @@ def cmd_run(args) -> int:
 # -- one-shot client operations ---------------------------------------------------
 
 
-def _client(args) -> PeerClient:
+def _one_shot(args, operate) -> int:
+    """Handshake with the node at args.host, run operate(client, greeting), hang up."""
     config = _build_config(args)
     timeout_s = max(0.05, 2 * args.keep_alive / 1000.0)
-    port = args.port if args.port is not None else _default_port()
-    return PeerClient(args.host, port, config, timeout_s=timeout_s)
+    client = PeerClient(args.host, config.port, config, timeout_s=timeout_s)
+    try:
+        operate(client, client.handshake())
+    finally:
+        client.close()
+    return EXIT_OK
 
 
 def _print_payload(envelope) -> None:
@@ -231,60 +245,34 @@ def _print_payload(envelope) -> None:
 
 
 def cmd_handshake(args) -> int:
-    client = _client(args)
-    try:
-        reply = client.handshake()
-        print(encode(reply).decode("utf-8"))
-    finally:
-        client.close()
-    return EXIT_OK
+    return _one_shot(args, lambda client, greeting: print(encode(greeting).decode("utf-8")))
 
 
 def cmd_discover(args) -> int:
-    client = _client(args)
-    try:
-        client.handshake()
-        _print_payload(client.services())
-    finally:
-        client.close()
-    return EXIT_OK
+    return _one_shot(args, lambda client, greeting: _print_payload(client.services()))
 
 
 def cmd_peers(args) -> int:
-    client = _client(args)
-    try:
-        client.handshake()
-        _print_payload(client.peers())
-    finally:
-        client.close()
-    return EXIT_OK
+    return _one_shot(args, lambda client, greeting: _print_payload(client.peers()))
 
 
 def cmd_stream(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be positive")
-    client = _client(args)
-    try:
-        client.handshake()
+
+    def operate(client, greeting):
         for envelope in client.stream(args.count):
             _print_payload(envelope)
         client.stop()
-    finally:
-        client.close()
-    return EXIT_OK
+
+    return _one_shot(args, operate)
 
 
 def cmd_fetch(args) -> int:
     services = [name for name in args.services.split(",") if name]
     if not services:
         raise UsageError("--services must name at least one service")
-    client = _client(args)
-    try:
-        client.handshake()
-        _print_payload(client.fetch(services, args.timestamp))
-    finally:
-        client.close()
-    return EXIT_OK
+    return _one_shot(args, lambda client, greeting: _print_payload(client.fetch(services, args.timestamp)))
 
 
 _COMMANDS = {
@@ -298,8 +286,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)

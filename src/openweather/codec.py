@@ -73,6 +73,7 @@ DEFAULT_PORT = 62535
 DEFAULT_UPDATE_INTERVAL_MS = 120000
 DEFAULT_PEERS_REQUESTED = 20
 DEFAULT_KEEP_ALIVE_MS = 120000
+DEFAULT_BANDWIDTH = 6  # the fastest class, 100 Mbit/s
 
 SERVICE_PTU = "PTU"
 SERVICE_WIND = "WIND"

@@ -38,6 +38,7 @@ from .codec import (
     DEFAULT_PEERS_REQUESTED,
     DEFAULT_PORT,
     DEFAULT_UPDATE_INTERVAL_MS,
+    SERVICES,
     EncodeError,
     Envelope,
     InfoPayload,
@@ -90,7 +91,7 @@ class Session:
 
 
 def default_services() -> dict:
-    return {"PTU": "RO", "WIND": "RO", "PRECIPITATION": "RO"}
+    return {name: "RO" for name in SERVICES}
 
 
 @dataclass

@@ -4,14 +4,17 @@ Scenario files are line oriented; ``#`` starts a comment.  Directives::
 
     start <rfc3339>                          clock base, default 1970 epoch
     node <name> [key=value ...]              declare a node
-    link <a> <b> latency_ms=N bandwidth=N [loss=F]
+    link <a> <b> [key=value ...]             join two declared nodes
     at <t_ms> <node> <command> [args]        run an operation at a virtual time
 
 Node attributes: seed=N ip=ADDR port=N bandwidth=CLASS
 location="<northing> <easting> <zone>" services=PTU,WIND,PRECIPITATION
 interval=MS keep-alive=MS update-interval=MS peers-requested=N.
-The n-th node declared defaults to seed n and to address 10.0.0.0 + n:
-10.0.0.1 up to 10.0.0.255, then 10.0.1.0 onwards.
+Link attributes: latency_ms=N bandwidth=BPS loss=F.
+Any other attribute is refused, and so is a value that the class using
+it refuses, naming the line or the node.  A left-out attribute takes that
+class's default, but the n-th node declared defaults to seed n and to
+address 10.0.0.0 + n: 10.0.0.1 up to 10.0.0.255, then 10.0.1.0 onwards.
 
 Commands: ``handshake <peer>``, ``discover <peer>``, ``peers <peer>``,
 ``stream <peer>``, ``stop <peer>``, ``fetch <peer> <timestamp> [svc,...]``.
@@ -36,7 +39,10 @@ import shlex
 from dataclasses import dataclass, field
 
 # decode is unused here but stays a module attribute: bench/tracer.py wraps scenario.decode
-from .codec import EncodeError, UtmLocation, decode, parse_timestamp  # noqa: F401
+from .codec import (  # noqa: F401
+    DEFAULT_BANDWIDTH, DEFAULT_KEEP_ALIVE_MS, DEFAULT_PEERS_REQUESTED, DEFAULT_PORT, DEFAULT_UPDATE_INTERVAL_MS,
+    SERVICES, UtmLocation, decode, parse_timestamp,
+)
 from .engine import NodeConfig, StateError
 from .identity import random_node_id
 from .node import Hangup, NodeRuntime, Outbound
@@ -57,14 +63,14 @@ class NodeSpec:
     name: str
     seed: int = 0
     ip: str = ""
-    port: int = 62535
-    bandwidth: int = 6
+    port: int = DEFAULT_PORT
+    bandwidth: int = DEFAULT_BANDWIDTH
     location: str = DEFAULT_LOCATION
-    services: tuple = ("PTU", "WIND", "PRECIPITATION")
-    interval_ms: int = 3000
-    keep_alive_ms: int = 120000
-    update_interval_ms: int = 120000
-    peers_requested: int = 20
+    services: tuple = SERVICES
+    interval_ms: int = GeneratorConfig.interval_ms
+    keep_alive_ms: int = DEFAULT_KEEP_ALIVE_MS
+    update_interval_ms: int = DEFAULT_UPDATE_INTERVAL_MS
+    peers_requested: int = DEFAULT_PEERS_REQUESTED
 
 
 @dataclass
@@ -83,23 +89,41 @@ class Scenario:
     commands: list = field(default_factory=list)
 
 
-def _attrs(tokens, where: str) -> dict:
-    pairs = {}
+# attribute -> (field of the spec it sets, reader of its text)
+_NODE_ATTRS = {
+    "seed": ("seed", int),
+    "ip": ("ip", str),
+    "port": ("port", int),
+    "bandwidth": ("bandwidth", int),
+    "location": ("location", str),
+    "services": ("services", lambda text: tuple(name for name in text.split(",") if name)),
+    "interval": ("interval_ms", int),
+    "keep-alive": ("keep_alive_ms", int),
+    "update-interval": ("update_interval_ms", int),
+    "peers-requested": ("peers_requested", int),
+}
+_LINK_ATTRS = {
+    "latency_ms": ("latency_ms", int),
+    "bandwidth": ("bandwidth_bps", int),
+    "loss": ("loss", float),
+}
+
+
+def _fields(tokens, table: dict, where: str) -> dict:
+    """The spec fields that key=value tokens set, read through table."""
+    values = {}
     for token in tokens:
-        if "=" not in token:
+        key, equals, text = token.partition("=")
+        if not equals:
             raise ScenarioError("%s: expected key=value, got %r" % (where, token))
-        key, value = token.split("=", 1)
-        pairs[key] = value
-    return pairs
-
-
-def _int_attr(pairs: dict, key: str, default: int, where: str) -> int:
-    if key not in pairs:
-        return default
-    try:
-        return int(pairs[key], 10)
-    except ValueError:
-        raise ScenarioError("%s: %s must be an integer" % (where, key))
+        if key not in table:
+            raise ScenarioError("%s: unknown attribute %r" % (where, key))
+        name, reader = table[key]
+        try:
+            values[name] = reader(text)
+        except ValueError:  # only the int and float readers refuse a text
+            raise ScenarioError("%s: %s must be %s" % (where, key, "a number" if reader is float else "an integer"))
+    return values
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -128,23 +152,10 @@ def parse_scenario(text: str) -> Scenario:
             name = rest[0]
             if name in scenario.nodes:
                 raise ScenarioError("%s: duplicate node %r" % (where, name))
-            pairs = _attrs(rest[1:], where)
             auto_ip += 1
-            services = tuple(s for s in pairs.get("services", "PTU,WIND,PRECIPITATION").split(",") if s)
-            spec = NodeSpec(
-                name=name,
-                seed=_int_attr(pairs, "seed", auto_ip, where),
-                ip=pairs.get("ip", str(_AUTO_IP_BASE + auto_ip)),
-                port=_int_attr(pairs, "port", 62535, where),
-                bandwidth=_int_attr(pairs, "bandwidth", 6, where),
-                location=pairs.get("location", DEFAULT_LOCATION),
-                services=services,
-                interval_ms=_int_attr(pairs, "interval", 3000, where),
-                keep_alive_ms=_int_attr(pairs, "keep-alive", 120000, where),
-                update_interval_ms=_int_attr(pairs, "update-interval", 120000, where),
-                peers_requested=_int_attr(pairs, "peers-requested", 20, where),
-            )
-            scenario.nodes[name] = spec
+            values = {"seed": auto_ip, "ip": str(_AUTO_IP_BASE + auto_ip)}
+            values.update(_fields(rest[1:], _NODE_ATTRS, where))
+            scenario.nodes[name] = NodeSpec(name, **values)
         elif directive == "link":
             if len(rest) < 2:
                 raise ScenarioError("%s: link needs two node names" % where)
@@ -152,19 +163,11 @@ def parse_scenario(text: str) -> Scenario:
             for name in (a, b):
                 if name not in scenario.nodes:
                     raise ScenarioError("%s: unknown node %r" % (where, name))
-            pairs = _attrs(rest[2:], where)
-            loss = 0.0
-            if "loss" in pairs:
-                try:
-                    loss = float(pairs["loss"])
-                except ValueError:
-                    raise ScenarioError("%s: loss must be a number" % where)
-            spec = LinkSpec(
-                latency_ms=_int_attr(pairs, "latency_ms", 0, where),
-                bandwidth_bps=_int_attr(pairs, "bandwidth", 100_000_000, where),
-                loss=loss,
-            )
-            scenario.links.append((a, b, spec))
+            values = _fields(rest[2:], _LINK_ATTRS, where)
+            try:
+                scenario.links.append((a, b, LinkSpec(**values)))
+            except ValueError as exc:
+                raise ScenarioError("%s: %s" % (where, exc))
         elif directive == "at":
             if len(rest) < 3:
                 raise ScenarioError("%s: at needs a time, a node and a command" % where)
@@ -219,32 +222,26 @@ class TraceEvent:
 
 class _SimNode:
     def __init__(self, spec: NodeSpec, start_ms: int):
-        try:
-            location = UtmLocation.parse(spec.location)
-        except ValueError as exc:
-            raise ScenarioError("node %s: %s" % (spec.name, exc))
-        config = NodeConfig(
-            node_id=random_node_id(spec.seed.to_bytes(32, "big")),
-            location=location,
-            bandwidth=spec.bandwidth,
-            port=spec.port,
-            advertise_ip=spec.ip,
-            update_interval_ms=spec.update_interval_ms,
-            peers_requested=spec.peers_requested,
-            keep_alive_ms=spec.keep_alive_ms,
-            services={name: "RO" for name in spec.services},
-        )
-        generator = SampleGenerator(GeneratorConfig(interval_ms=spec.interval_ms, seed=spec.seed))
         self.spec = spec
         try:
-            self.runtime = NodeRuntime(
-                config,
-                generator=generator,
-                store=SampleStore(),
-                rng=random.Random(spec.seed),
-                start_ms=start_ms,
+            config = NodeConfig(
+                node_id=random_node_id(spec.seed.to_bytes(32, "big")),
+                location=UtmLocation.parse(spec.location),
+                bandwidth=spec.bandwidth,
+                port=spec.port,
+                advertise_ip=spec.ip,
+                update_interval_ms=spec.update_interval_ms,
+                peers_requested=spec.peers_requested,
+                keep_alive_ms=spec.keep_alive_ms,
+                services={name: "RO" for name in spec.services},
             )
-        except EncodeError as exc:
+            generator = SampleGenerator(GeneratorConfig(interval_ms=spec.interval_ms, seed=spec.seed))
+            self.runtime = NodeRuntime(
+                config, generator=generator, store=SampleStore(), rng=random.Random(spec.seed), start_ms=start_ms
+            )
+        except OverflowError:  # from to_bytes: the seed is the node id's 32 bytes of entropy
+            raise ScenarioError("node %s: seed must be from 0 to 2**256 - 1" % spec.name)
+        except ValueError as exc:  # the class that uses a setting refuses its value
             raise ScenarioError("node %s: %s" % (spec.name, exc))
 
 

@@ -1,7 +1,7 @@
 """Weather sample generation and retention.
 
 SampleGenerator fakes a station: each measurement performs a bounded
-random walk around a configured baseline.  Steps are whole tenths of a
+random walk around a fixed baseline.  Steps are whole tenths of a
 unit so values stay exact decimal text; a seed makes the whole sequence
 reproducible.  Zero step bounds (the default) pin the output to the
 baselines, which is what scripted simulations want.
@@ -27,6 +27,13 @@ from .vendor import to_sample as vendor_to_sample
 
 _TENTH = Decimal("0.1")
 
+# the walks' baselines, as decimal text
+AIR_TEMPERATURE_C = "19.1"
+RELATIVE_HUMIDITY_PCT = "69.4"
+AIR_PRESSURE_HPA = "1014.1"
+WIND_DIRECTION_DEG = "160"
+WIND_SPEED_MS = "1.7"
+
 
 class OrderingError(ValueError):
     """Samples must be inserted with strictly increasing timestamps."""
@@ -34,15 +41,10 @@ class OrderingError(ValueError):
 
 @dataclass
 class GeneratorConfig:
-    """Baselines (decimal text) and walk bounds (tenths per tick)."""
+    """Cadence, seed and walk bounds (tenths per tick)."""
 
     interval_ms: int = 3000
     seed: int = 0
-    air_temperature_c: str = "19.1"
-    relative_humidity_pct: str = "69.4"
-    air_pressure_hpa: str = "1014.1"
-    wind_direction_deg: str = "160"
-    wind_speed_ms: str = "1.7"
     temperature_step: int = 0
     humidity_step: int = 0
     pressure_step: int = 0
@@ -73,11 +75,11 @@ class SampleGenerator:
         if self.config.interval_ms < 1:
             raise ValueError("interval must be at least 1 ms")
         self._rng = random.Random(self.config.seed)
-        self._temperature = _tenths(self.config.air_temperature_c)
-        self._humidity = _tenths(self.config.relative_humidity_pct)
-        self._pressure = _tenths(self.config.air_pressure_hpa)
-        self._direction = int(Decimal(self.config.wind_direction_deg))
-        self._speed = _tenths(self.config.wind_speed_ms)
+        self._temperature = _tenths(AIR_TEMPERATURE_C)
+        self._humidity = _tenths(RELATIVE_HUMIDITY_PCT)
+        self._pressure = _tenths(AIR_PRESSURE_HPA)
+        self._direction = int(Decimal(WIND_DIRECTION_DEG))
+        self._speed = _tenths(WIND_SPEED_MS)
 
     @property
     def interval_ms(self) -> int:
@@ -136,9 +138,9 @@ class VendorLineSource:
     .warnings; a drained source yields None.
     """
 
-    def __init__(self, lines, interval_ms: int = 3000, field_map=None):
+    def __init__(self, lines, interval_ms: int, field_map=None):
         if interval_ms < 1:
-            raise ValueError("interval_ms must be positive")
+            raise ValueError("interval must be at least 1 ms")
         self.interval_ms = interval_ms
         self._lines = iter(lines)
         self._field_map = field_map

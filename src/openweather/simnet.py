@@ -28,11 +28,19 @@ class NoLinkError(SimError):
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """One direction of a point-to-point pipe."""
+    """One direction of a point-to-point pipe; refuses a rate, delay or loss it cannot model."""
 
     latency_ms: int = 0
     bandwidth_bps: int = 100_000_000
     loss: float = 0.0
+
+    def __post_init__(self):
+        if self.bandwidth_bps < 1:
+            raise ValueError("bandwidth must be at least 1 bit/s, got %r" % (self.bandwidth_bps,))
+        if self.latency_ms < 0:
+            raise ValueError("latency_ms must not be negative, got %r" % (self.latency_ms,))
+        if not 0 <= self.loss <= 1:
+            raise ValueError("loss must be from 0 to 1, got %r" % (self.loss,))
 
 
 @dataclass(frozen=True)

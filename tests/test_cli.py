@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, printed payloads, env overrides."""
 
+import re
 import socket
 import threading
 import time
@@ -8,7 +9,7 @@ import pytest
 
 from openweather import cli
 from openweather.cli import main
-from openweather.codec import UtmLocation, encode, format_timestamp
+from openweather.codec import DEFAULT_BANDWIDTH, DEFAULT_KEEP_ALIVE_MS, UtmLocation, encode, format_timestamp
 from openweather.engine import Engine, NodeConfig
 from openweather.identity import random_node_id
 from openweather.node import NodeRuntime
@@ -75,9 +76,13 @@ def test_no_command_prints_usage(capsys):
         ["run", "--transport", "sim"],
         ["run", "--transport", "sim", "--scenario", "/no/such/file.owp"],
         ["run", "--transport", "tcp", "--mapping", "/no/such/map.tsv"],
+        ["run", "--transport", "sim", "--scenario", "zero-bandwidth.owp"],
+        ["handshake", "127.0.0.1", "--id", "", "--port", "1"],
     ],
 )
-def test_bad_invocations_exit_1(capsys, argv):
+def test_bad_invocations_exit_1(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero-bandwidth.owp").write_text(SCENARIO.replace("bandwidth=56000", "bandwidth=0"))
     assert main(argv) == 1
     assert capsys.readouterr().err != ""
 
@@ -90,6 +95,33 @@ def test_run_with_an_unsendable_location_exits_1_before_listening(capsys, monkey
     monkeypatch.setattr(cli, "NodeServer", NoServer)
     assert main(["run", "--location", "1 2 bad", "--port", str(free_port())]) == 1
     assert "location zone malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", [[], ["--vendor-input", "lines.txt"]], ids=["generator", "vendor"])
+def test_run_with_a_zero_interval_exits_1_before_listening(capsys, monkeypatch, tmp_path, source):
+    class NoServer:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a node that cannot sample must not start")
+
+    monkeypatch.setattr(cli, "NodeServer", NoServer)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lines.txt").write_text("# no reports\n")
+    assert main(["run", "--interval", "0", "--port", str(free_port())] + source) == 1
+    assert capsys.readouterr().err == "owp: --interval: interval must be at least 1 ms\n"
+
+
+def test_run_help_shows_the_defaults_of_the_owners(capsys, monkeypatch):
+    monkeypatch.setenv("OWP_PORT", "7000")
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for flag, default in (
+        ("--port PORT", 7000),
+        ("--bandwidth BANDWIDTH", DEFAULT_BANDWIDTH),
+        ("--keep-alive MS", DEFAULT_KEEP_ALIVE_MS),
+        ("--interval MS", GeneratorConfig.interval_ms),
+    ):
+        assert re.search(r"%s [^(]*\(default: %s\)" % (re.escape(flag), default), out), flag
 
 
 def test_handshake_with_an_unsendable_location_exits_1_before_connecting(capsys):

@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from openweather import scenario as scenario_module
 from openweather.codec import decode, format_timestamp, parse_timestamp
 from openweather.node import Outbound
 from openweather.scenario import (
@@ -139,6 +141,13 @@ def test_parse_link_defaults_and_loss():
         ("node a\nnode b\nat 5 a fetch b", "fetch takes <peer> <timestamp>"),
         ("node a\nnode b\nat 5 a handshake ghost", "unknown peer"),
         ('node a name="unclosed', "line 1"),
+        ("node a keepalive=5000", "line 1: unknown attribute 'keepalive'"),
+        ("node a\nnode b\nlink a b colour=red", "line 3: unknown attribute 'colour'"),
+        ("node a\nnode b\nlink a b bandwidth=0", "line 3: bandwidth must be at least 1 bit/s"),
+        ("node a\nnode b\nlink a b bandwidth=-8000", "line 3: bandwidth must be at least 1 bit/s"),
+        ("node a\nnode b\nlink a b latency_ms=-50", "line 3: latency_ms must not be negative"),
+        ("node a\nnode b\nlink a b loss=2", "line 3: loss must be from 0 to 1"),
+        ("node a\nnode b\nlink a b loss=nan", "line 3: loss must be from 0 to 1"),
     ],
 )
 def test_parse_rejects_bad_input(line, fragment):
@@ -153,6 +162,25 @@ def test_node_with_an_unsendable_header_is_refused_by_name():
         SimRunner(parse_scenario(text))
     assert str(caught.value).startswith("node n1: ")
     assert "location zone malformed" in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "attribute, fragment",
+    [
+        ("interval=0", "interval must be at least 1 ms"),
+        ("seed=-1", "seed must be from 0 to 2**256 - 1"),
+        pytest.param("seed=%d" % (1 << 256), "seed must be from 0 to 2**256 - 1", id="seed=2**256"),
+    ],
+)
+def test_node_with_a_setting_its_owner_refuses_is_refused_by_name(attribute, fragment):
+    with pytest.raises(ScenarioError) as caught:
+        SimRunner(parse_scenario("node n1\nnode a %s\n" % attribute))
+    assert str(caught.value) == "node a: " + fragment
+
+
+def test_docstring_lists_every_attribute():
+    documented = set(re.findall(r"([\w-]+)=", scenario_module.__doc__))
+    assert documented >= set(scenario_module._NODE_ATTRS) | set(scenario_module._LINK_ATTRS)
 
 
 def test_error_names_the_offending_line():
