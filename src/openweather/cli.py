@@ -35,7 +35,7 @@ from .codec import (
     encode,
     payload_fragment,
 )
-from .engine import NodeConfig
+from .engine import OPERATIONS, NodeConfig
 from .identity import random_node_id
 from .node import NodeRuntime
 from .peers import BootstrapError, load_bootstrap
@@ -51,6 +51,8 @@ EXIT_PROTOCOL = 3
 EXIT_TIMEOUT = 4
 
 _DEFAULT = " (default: %(default)s)"  # a help text's tail
+# the operations a one-shot command runs; stop only ends a stream, which owp stream does itself
+ONE_SHOTS = tuple(verb for verb in OPERATIONS if verb != "stop")
 
 
 class UsageError(ValueError):
@@ -107,7 +109,7 @@ def build_parser() -> _Parser:
     run.add_argument("--mapping", metavar="FILE", help="extra vendor field mappings (TSV)")
 
     one_shot = {}
-    for name in ("handshake", "discover", "peers", "stream", "fetch"):
+    for name in ONE_SHOTS:
         sub = one_shot[name] = commands.add_parser(name, help="one-shot %s against a node" % name)
         sub.add_argument("host", help="target host")
         _node_flags(sub)
@@ -227,13 +229,28 @@ def cmd_run(args) -> int:
 # -- one-shot client operations ---------------------------------------------------
 
 
-def _one_shot(args, operate) -> int:
-    """Handshake with the node at args.host, run operate(client, greeting), hang up."""
+def cmd_one_shot(args) -> int:
+    """Handshake with the node at args.host, run the command's operation, print what it returns, hang up."""
+    verb = args.command
+    query = ()
+    if verb == "stream" and args.count < 1:
+        raise UsageError("--count must be positive")
+    if verb == "fetch":
+        services = [name for name in args.services.split(",") if name]
+        if not services:
+            raise UsageError("--services must name at least one service")
+        query = (services, args.timestamp)
     config = _build_config(args)
     timeout_s = max(0.05, 2 * args.keep_alive / 1000.0)
     client = PeerClient(args.host, config.port, config, timeout_s=timeout_s)
     try:
-        operate(client, client.handshake())
+        greeting = client.request("handshake")
+        if verb == "stream":
+            for envelope in client.stream(args.count):
+                _print_payload(envelope)
+            client.request("stop")
+        else:
+            _print_payload(greeting if verb == "handshake" else client.request(verb, *query))
     finally:
         client.close()
     return EXIT_OK
@@ -244,45 +261,7 @@ def _print_payload(envelope) -> None:
     print(fragment if fragment is not None else encode(envelope).decode("utf-8"))
 
 
-def cmd_handshake(args) -> int:
-    return _one_shot(args, lambda client, greeting: print(encode(greeting).decode("utf-8")))
-
-
-def cmd_discover(args) -> int:
-    return _one_shot(args, lambda client, greeting: _print_payload(client.services()))
-
-
-def cmd_peers(args) -> int:
-    return _one_shot(args, lambda client, greeting: _print_payload(client.peers()))
-
-
-def cmd_stream(args) -> int:
-    if args.count < 1:
-        raise UsageError("--count must be positive")
-
-    def operate(client, greeting):
-        for envelope in client.stream(args.count):
-            _print_payload(envelope)
-        client.stop()
-
-    return _one_shot(args, operate)
-
-
-def cmd_fetch(args) -> int:
-    services = [name for name in args.services.split(",") if name]
-    if not services:
-        raise UsageError("--services must name at least one service")
-    return _one_shot(args, lambda client, greeting: _print_payload(client.fetch(services, args.timestamp)))
-
-
-_COMMANDS = {
-    "run": cmd_run,
-    "handshake": cmd_handshake,
-    "discover": cmd_discover,
-    "peers": cmd_peers,
-    "stream": cmd_stream,
-    "fetch": cmd_fetch,
-}
+_COMMANDS = {"run": cmd_run, **dict.fromkeys(ONE_SHOTS, cmd_one_shot)}
 
 
 def main(argv=None) -> int:

@@ -167,12 +167,12 @@ def parse_timestamp(text: str) -> int:
     return int(moment.timestamp()) * 1000
 
 
-def _normalized_timestamp(text: str) -> str:
+def _normalize_timestamp(instance) -> None:
     # store the emitted form (with Z) whenever the text parses at all; a text
-    # ending in Z already is in that form or does not parse
+    # ending in Z already is in that form or does not parse, and stays as it is
+    text = instance.timestamp
     if isinstance(text, str) and not text.endswith("Z") and _TIMESTAMP_RE.fullmatch(text):
-        return text + "Z"
-    return text
+        object.__setattr__(instance, "timestamp", text + "Z")
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ class MetaInfo:
     version: str = PROTOCOL_VERSION
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamp", _normalized_timestamp(self.timestamp))
+        _normalize_timestamp(self)
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,7 @@ class RetrieveRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "services", tuple(self.services))
-        object.__setattr__(self, "timestamp", _normalized_timestamp(self.timestamp))
+        _normalize_timestamp(self)
 
 
 @dataclass(frozen=True)

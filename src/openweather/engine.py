@@ -15,6 +15,10 @@ closes the session removes it.  stream_message builds the type-300
 message of one sample, for the first frame of a subscription and for
 each later sample alike.
 
+OPERATIONS is the one table of what a node starts as a requester: each
+operator's verb with its request's type code and the reply code that
+completes it.  request() starts any of them and keeps their state rules.
+
 Session states: Idle (fresh connection), HandshakeSent (we opened),
 Established, Streaming (we are serving a real-time feed), Closed.
 A session's stream_active flag is the other direction: it tracks our own
@@ -77,6 +81,18 @@ _RECEIPTS = frozenset((
     ProtocolCode.REAL_TIME_DATA_S,
     ProtocolCode.ON_DEMAND_DATA_S,
 ))
+
+
+# the requester operations, keyed by the operator's verb (the scenario commands
+# and owp's one-shots): verb -> (request code, code of the reply that completes it)
+OPERATIONS = {
+    "handshake": (ProtocolCode.HANDSHAKE, ProtocolCode.HANDSHAKE_S),
+    "discover": (ProtocolCode.SERVICES_AVAILABLE, ProtocolCode.SERVICES_AVAILABLE_R),
+    "peers": (ProtocolCode.LIST_PEERS, ProtocolCode.LIST_PEERS_R),
+    "stream": (ProtocolCode.REAL_TIME_DATA, ProtocolCode.REAL_TIME_DATA_R),
+    "stop": (ProtocolCode.STOP_REAL_TIME_DATA, ProtocolCode.REAL_TIME_DATA_S),
+    "fetch": (ProtocolCode.ON_DEMAND_DATA, ProtocolCode.ON_DEMAND_DATA_R),
+}
 
 
 @dataclass
@@ -330,44 +346,33 @@ class Engine:
 
     # -- requester operations -----------------------------------------------
 
-    def _need_established(self, session: Session, what: str) -> None:
-        if session.state not in _ACTIVE:
-            raise StateError("%s requires an established session (state: %s)" % (what, session.state.value))
+    def request(self, session: Session, verb: str, now_ms: int, *query) -> list:
+        """Start the operation verb of OPERATIONS on session; returns its request.
 
-    def initiate_handshake(self, session: Session, now_ms: int) -> list:
-        if session.state is not SessionState.IDLE:
-            raise StateError("handshake on a non-idle session (state: %s)" % session.state.value)
-        session.state = SessionState.HANDSHAKE_SENT
-        # nothing received yet: the keep-alive countdown starts at the send
-        session.last_rx = now_ms
-        return [self.status_message(ProtocolCode.HANDSHAKE, now_ms)]
-
-    def request_services(self, session: Session, now_ms: int) -> list:
-        self._need_established(session, "service discovery")
-        return [self.status_message(ProtocolCode.SERVICES_AVAILABLE, now_ms)]
-
-    def request_peers(self, session: Session, now_ms: int) -> list:
-        self._need_established(session, "peer listing")
-        return [self.status_message(ProtocolCode.LIST_PEERS, now_ms)]
-
-    def request_realtime(self, session: Session, now_ms: int) -> list:
-        self._need_established(session, "real-time retrieval")
-        if session.stream_active:
+        A handshake needs an idle session and every other operation an
+        active one; a stream needs no stream open and a stop needs one.
+        Otherwise StateError.  A fetch's query is its services and timestamp.
+        """
+        code = OPERATIONS[verb][0]
+        state = session.state
+        if verb == "handshake":
+            if state is not SessionState.IDLE:
+                raise StateError("handshake on a non-idle session (state: %s)" % state.value)
+            session.state = SessionState.HANDSHAKE_SENT
+            # nothing received yet: the keep-alive countdown starts at the send
+            session.last_rx = now_ms
+        elif state not in _ACTIVE:
+            raise StateError("%s requires an established session (state: %s)" % (verb, state.value))
+        elif verb == "stream" and session.stream_active:
             raise StateError("stream already active on this session")
-        session.stream_active = True
-        return [self.status_message(ProtocolCode.REAL_TIME_DATA, now_ms)]
-
-    def stop_realtime(self, session: Session, now_ms: int) -> list:
-        self._need_established(session, "stream stop")
-        if not session.stream_active:
+        elif verb == "stop" and not session.stream_active:
             raise StateError("no active stream to stop")
-        session.stream_active = False
-        return [self.status_message(ProtocolCode.STOP_REAL_TIME_DATA, now_ms)]
-
-    def request_on_demand(self, session: Session, services, timestamp: str, now_ms: int) -> list:
-        self._need_established(session, "on-demand retrieval")
-        retrieve = RetrieveRequest(services=tuple(services), timestamp=timestamp)
-        return [self._envelope(ProtocolCode.ON_DEMAND_DATA, now_ms, retrieve=retrieve)]
+        if verb in ("stream", "stop"):
+            session.stream_active = verb == "stream"
+        if verb == "fetch":
+            services, timestamp = query
+            return [self._envelope(code, now_ms, retrieve=RetrieveRequest(tuple(services), timestamp))]
+        return [self.status_message(code, now_ms)]
 
     # -- housekeeping ---------------------------------------------------------
 

@@ -14,6 +14,10 @@ removes it from ``sessions``.  A frame for a key without a session is
 dropped unread, so input that was in flight when a session closed
 draws no reply.
 
+On an open session, request(key, verb, now_ms, *query) starts any
+operation of engine.OPERATIONS as the requester; connect is open_session
+followed by the handshake request.
+
 Each inbound frame is one guarded step: decode_checked, which decodes and
 checks the frame in one walk, dispatch, and encoding the envelopes the
 engine answers with.  Whatever fails in that step, the peer's frame or a
@@ -97,8 +101,8 @@ class NodeRuntime:
 
     def connect(self, key, now_ms: int) -> list:
         """Start a session we initiate: emits the opening handshake."""
-        session = self.open_session(key, now_ms)
-        return self._outbound(key, self.engine.initiate_handshake(session, now_ms))
+        self.open_session(key, now_ms)
+        return self.request(key, "handshake", now_ms)
 
     def on_disconnect(self, key, now_ms: int) -> None:
         """The connection on key is gone: drop its session and subscription."""
@@ -146,21 +150,9 @@ class NodeRuntime:
 
     # -- requester operations --------------------------------------------------
 
-    def request_services(self, key, now_ms: int) -> list:
-        return self._outbound(key, self.engine.request_services(self.session(key), now_ms))
-
-    def request_peers(self, key, now_ms: int) -> list:
-        return self._outbound(key, self.engine.request_peers(self.session(key), now_ms))
-
-    def request_realtime(self, key, now_ms: int) -> list:
-        return self._outbound(key, self.engine.request_realtime(self.session(key), now_ms))
-
-    def stop_realtime(self, key, now_ms: int) -> list:
-        return self._outbound(key, self.engine.stop_realtime(self.session(key), now_ms))
-
-    def request_on_demand(self, key, services, timestamp: str, now_ms: int) -> list:
-        envelopes = self.engine.request_on_demand(self.session(key), services, timestamp, now_ms)
-        return self._outbound(key, envelopes)
+    def request(self, key, verb: str, now_ms: int, *query) -> list:
+        """Start an operation on the session on key; see Engine.request."""
+        return self._outbound(key, self.engine.request(self.session(key), verb, now_ms, *query))
 
     # -- timers ---------------------------------------------------------------
 

@@ -16,9 +16,13 @@ it refuses, naming the line or the node.  A left-out attribute takes that
 class's default, but the n-th node declared defaults to seed n and to
 address 10.0.0.0 + n: 10.0.0.1 up to 10.0.0.255, then 10.0.1.0 onwards.
 
-Commands: ``handshake <peer>``, ``discover <peer>``, ``peers <peer>``,
-``stream <peer>``, ``stop <peer>``, ``fetch <peer> <timestamp> [svc,...]``.
-Everything except handshake needs a prior handshake between the pair.
+Commands, the verbs of engine.OPERATIONS: ``handshake <peer>``,
+``discover <peer>``, ``peers <peer>``, ``stream <peer>``, ``stop <peer>``,
+``fetch <peer> <timestamp> [svc,...]``.  Everything except handshake needs
+a prior handshake between the pair, and a handshake needs a link.  The
+time counts from the start and must not be negative.  A command that the
+engine, the network or the codec refuses stops the run with an error
+naming it, as ``t=<ms> <node> <verb>``.
 
 A run yields one trace event per emitted or delivered message::
 
@@ -41,17 +45,16 @@ from dataclasses import dataclass, field
 # decode is unused here but stays a module attribute: bench/tracer.py wraps scenario.decode
 from .codec import (  # noqa: F401
     DEFAULT_BANDWIDTH, DEFAULT_KEEP_ALIVE_MS, DEFAULT_PEERS_REQUESTED, DEFAULT_PORT, DEFAULT_UPDATE_INTERVAL_MS,
-    SERVICES, UtmLocation, decode, parse_timestamp,
+    SERVICES, EncodeError, UtmLocation, decode, parse_timestamp,
 )
-from .engine import NodeConfig, StateError
+from .engine import OPERATIONS, NodeConfig, StateError
 from .identity import random_node_id
 from .node import Hangup, NodeRuntime, Outbound
 from .sensors import GeneratorConfig, SampleGenerator, SampleStore
-from .simnet import LinkSpec, VirtualNetwork
+from .simnet import LinkSpec, NoLinkError, VirtualNetwork
 
 DEFAULT_LOCATION = "6672224 385565 35V"
 _AUTO_IP_BASE = ipaddress.IPv4Address("10.0.0.0")  # node n defaults to this + n
-_COMMANDS = ("handshake", "discover", "peers", "stream", "stop", "fetch")
 
 
 class ScenarioError(ValueError):
@@ -175,10 +178,12 @@ def parse_scenario(text: str) -> Scenario:
                 time_ms = int(rest[0], 10)
             except ValueError:
                 raise ScenarioError("%s: bad time %r" % (where, rest[0]))
+            if time_ms < 0:
+                raise ScenarioError("%s: time %d is before the start" % (where, time_ms))
             node, verb = rest[1], rest[2]
             if node not in scenario.nodes:
                 raise ScenarioError("%s: unknown node %r" % (where, node))
-            if verb not in _COMMANDS:
+            if verb not in OPERATIONS:
                 raise ScenarioError("%s: unknown command %r" % (where, verb))
             args = tuple(rest[3:])
             if verb != "fetch" and len(args) != 1:
@@ -291,48 +296,35 @@ class SimRunner:
                 self.nodes[dst].runtime.on_disconnect(conn, now_ms)
                 self._conns.pop(frozenset((src, dst)), None)
 
-    def _connection(self, a: str, b: str, now_ms: int, create: bool = False):
+    def _connection(self, a: str, b: str, now_ms: int, dial: bool = False):
+        """The connection between a and b; dial opens it, with a session at each end."""
         pair = frozenset((a, b))
         conn = self._conns.get(pair)
         if conn is None:
-            if not create:
-                raise ScenarioError("no session between %s and %s; handshake first" % (a, b))
+            if not dial:
+                raise StateError("no session between %s and %s; handshake first" % (a, b))
             conn = self.net.connect(a, b)
             self._conns[pair] = conn
             self._by_id[conn.conn_id] = conn
+            self.nodes[a].runtime.open_session(conn, now_ms)
             self.nodes[b].runtime.open_session(conn, now_ms)
         return conn
 
     def _execute(self, command: Command, now_ms: int) -> None:
-        try:
-            self._dispatch(command, now_ms)
-        except StateError as exc:
-            relative = command.time_ms - self.scenario.start_ms
-            raise ScenarioError("t=%d %s %s: %s" % (relative, command.node, command.verb, exc))
-
-    def _dispatch(self, command: Command, now_ms: int) -> None:
-        node = self.nodes[command.node]
-        runtime = node.runtime
+        """Run one scripted operation; what refuses it becomes a ScenarioError naming it."""
+        node = command.node
         verb = command.verb
-        peer = command.args[0]
-        if verb == "handshake":
-            conn = self._connection(command.node, peer, now_ms, create=True)
-            outputs = runtime.connect(conn, now_ms)
-        else:
-            conn = self._connection(command.node, peer, now_ms)
-            if verb == "discover":
-                outputs = runtime.request_services(conn, now_ms)
-            elif verb == "peers":
-                outputs = runtime.request_peers(conn, now_ms)
-            elif verb == "stream":
-                outputs = runtime.request_realtime(conn, now_ms)
-            elif verb == "stop":
-                outputs = runtime.stop_realtime(conn, now_ms)
-            else:  # fetch
-                timestamp = command.args[1]
-                services = command.args[2].split(",") if len(command.args) == 3 else list(node.spec.services)
-                outputs = runtime.request_on_demand(conn, services, timestamp, now_ms)
-        self._emit(command.node, outputs, now_ms)
+        query = ()
+        if verb == "fetch":
+            services = command.args[2].split(",") if len(command.args) == 3 else self.nodes[node].spec.services
+            query = (services, command.args[1])
+        try:
+            conn = self._connection(node, command.args[0], now_ms, dial=verb == "handshake")
+            outputs = self.nodes[node].runtime.request(conn, verb, now_ms, *query)
+        except (StateError, NoLinkError, EncodeError) as exc:
+            relative = command.time_ms - self.scenario.start_ms
+            raise ScenarioError("t=%d %s %s: %s" % (relative, node, verb, exc))
+        self._emit(node, outputs, now_ms)
 
     # -- main loop ---------------------------------------------------------------
 

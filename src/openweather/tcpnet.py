@@ -7,9 +7,11 @@ NodeServer drives a NodeRuntime from one thread: one selectors loop over
 non-blocking sockets that sleeps until a socket is ready or the runtime's
 next timer is due.  A peer whose unsent backlog passes MAX_BACKLOG is
 dropped.  PeerClient runs one-shot operations over a NodeRuntime of its
-own: it decodes and checks each reply once, in decode_checked's one walk,
-then passes it to NodeRuntime.on_envelope, which runs the server's
-on_frame step from dispatch on.
+own: request(verb, *query) starts the operation through
+NodeRuntime.request and waits for the reply code that engine.OPERATIONS
+names for it.  It decodes and checks each reply once, in decode_checked's
+one walk, then passes it to NodeRuntime.on_envelope, which runs the
+server's on_frame step from dispatch on.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import time
 import types
 
 from .codec import Envelope, decode_checked
-from .engine import NodeConfig, ProtocolCode
+from .engine import OPERATIONS, NodeConfig
 from .node import NodeRuntime, Outbound
 
 log = logging.getLogger(__name__)
@@ -218,6 +220,7 @@ class PeerClient:
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
         self.engine.local_ip = self.sock.getsockname()[0]
         self._remote = (host, port)  # also the session's key in the runtime
+        self.runtime.open_session(self._remote, time_ms())
         self._splitter = FrameSplitter()
         self._inbox: list = []
 
@@ -241,9 +244,8 @@ class PeerClient:
             if isinstance(output, Outbound):
                 self.sock.sendall(output.frame)
 
-    def _ask(self, outputs: list, code: int) -> Envelope:
-        """Write the runtime's outputs, then wait for a reply of type code."""
-        self._write(outputs)
+    def _await(self, code: int) -> Envelope:
+        """Read until a message of type code arrives; ProtocolFault on a 6xx status."""
         while True:
             envelope = self.recv()
             got = int(envelope.type_code)
@@ -252,23 +254,12 @@ class PeerClient:
             if 600 <= got <= 699:
                 raise ProtocolFault(got)
 
-    def handshake(self) -> Envelope:
-        return self._ask(self.runtime.connect(self._remote, time_ms()), ProtocolCode.HANDSHAKE_S)
-
-    def services(self) -> Envelope:
-        outputs = self.runtime.request_services(self._remote, time_ms())
-        return self._ask(outputs, ProtocolCode.SERVICES_AVAILABLE_R)
-
-    def peers(self) -> Envelope:
-        return self._ask(self.runtime.request_peers(self._remote, time_ms()), ProtocolCode.LIST_PEERS_R)
+    def request(self, verb: str, *query) -> Envelope:
+        """Run the operation verb of OPERATIONS: send its request, return the reply that completes it."""
+        self._write(self.runtime.request(self._remote, verb, time_ms(), *query))
+        return self._await(OPERATIONS[verb][1])
 
     def stream(self, count: int) -> list:
-        self._write(self.runtime.request_realtime(self._remote, time_ms()))
-        return [self._ask([], ProtocolCode.REAL_TIME_DATA_R) for _ in range(count)]
-
-    def stop(self) -> Envelope:
-        return self._ask(self.runtime.stop_realtime(self._remote, time_ms()), ProtocolCode.REAL_TIME_DATA_S)
-
-    def fetch(self, services, timestamp: str) -> Envelope:
-        outputs = self.runtime.request_on_demand(self._remote, services, timestamp, time_ms())
-        return self._ask(outputs, ProtocolCode.ON_DEMAND_DATA_R)
+        """Subscribe to the node's stream; returns its first count frames."""
+        self._write(self.runtime.request(self._remote, "stream", time_ms()))
+        return [self._await(OPERATIONS["stream"][1]) for _ in range(count)]

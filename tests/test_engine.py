@@ -110,7 +110,7 @@ def test_inbound_handshake_registers_and_confirms():
 def test_outbound_handshake_completes_on_confirmation():
     engine = Engine(config())
     session = Session()
-    (send,) = engine.initiate_handshake(session, now_ms=0)
+    (send,) = engine.request(session, "handshake", now_ms=0)
     assert send.type_code == 100
     assert session.state is SessionState.HANDSHAKE_SENT
     replies = engine.handle_message(session, inbound(101), now_ms=50)
@@ -129,10 +129,10 @@ def test_handshake_refresh_on_established_session():
     assert "%064x" % 2 in engine.peer_table
 
 
-def test_initiate_handshake_requires_idle():
+def test_handshake_request_requires_idle():
     engine, session = established_engine()
     with pytest.raises(StateError):
-        engine.initiate_handshake(session, 0)
+        engine.request(session, "handshake", 0)
 
 
 # -- service discovery ----------------------------------------------------------------
@@ -247,16 +247,16 @@ def test_stream_request_out_of_turn_is_unexpected():
 
 def test_requester_subscription_flags():
     engine, session = established_engine()
-    (send,) = engine.request_realtime(session, 0)
+    (send,) = engine.request(session, "stream", 0)
     assert send.type_code == 200
     assert session.stream_active
     with pytest.raises(StateError):
-        engine.request_realtime(session, 1)
-    (send,) = engine.stop_realtime(session, 2)
+        engine.request(session, "stream", 1)
+    (send,) = engine.request(session, "stop", 2)
     assert send.type_code == 202
     assert not session.stream_active
     with pytest.raises(StateError):
-        engine.stop_realtime(session, 3)
+        engine.request(session, "stop", 3)
 
 
 def test_inbound_data_draws_no_reply():
@@ -320,9 +320,9 @@ def test_on_demand_without_a_store_is_unavailable():
     assert send.type_code == 602
 
 
-def test_request_on_demand_builds_query():
+def test_fetch_request_builds_query():
     engine, session = established_engine()
-    (send,) = engine.request_on_demand(session, ["PTU"], "2011-05-29T12:10:23Z", 0)
+    (send,) = engine.request(session, "fetch", 0, ["PTU"], "2011-05-29T12:10:23Z")
     assert send.type_code == 201
     assert send.retrieve == RetrieveRequest(("PTU",), "2011-05-29T12:10:23Z")
     assert validate(send).ok
@@ -418,7 +418,7 @@ def test_pending_dial_survives_sweep_at_wall_clock_now():
     engine = Engine(config())
     session = Session()
     now = 1_381_761_721_000
-    engine.initiate_handshake(session, now_ms=now)
+    engine.request(session, "handshake", now_ms=now)
     assert session.last_rx == now
     assert engine.keep_alive_sweep([session], now_ms=now + 1000) == []
 

@@ -108,13 +108,13 @@ def test_dispatch_error_answered_with_unexpected_status(monkeypatch, caplog):
     assert "RuntimeError: boom" in caplog.text  # the traceback is logged
     # the node carries on: the next good frame is dispatched as usual
     monkeypatch.setattr(Engine, "handle_message", dispatch)
-    replies = pump(alice, bob, alice.request_services("conn", 6), 6)
+    replies = pump(alice, bob, alice.request("conn", "discover", 6), 6)
     assert [o.code for o in replies] == [103]
 
 
 def test_on_envelope_dispatches_an_envelope_decoded_elsewhere(monkeypatch):
     alice, bob = established_pair()
-    (request,) = alice.request_services("conn", 5)
+    (request,) = alice.request("conn", "discover", 5)
     (reply,) = bob.on_envelope("conn", decode(request.frame[:-1]), 5)
     assert reply.code == 103 and decode(reply.frame[:-1]).info.services
 
@@ -139,13 +139,13 @@ def test_every_outbound_carries_its_frames_type_code():
 
     talk(alice.connect("conn", 0), 0)
     sent.extend(bob.on_tick(1000))
-    talk(alice.request_services("conn", 1100), 1100)
-    talk(alice.request_peers("conn", 1200), 1200)
-    talk(alice.request_realtime("conn", 1500), 1500)
+    talk(alice.request("conn", "discover", 1100), 1100)
+    talk(alice.request("conn", "peers", 1200), 1200)
+    talk(alice.request("conn", "stream", 1500), 1500)
     sent.extend(bob.on_tick(2000))
-    talk(alice.request_on_demand("conn", ["PTU"], "1970-01-01T00:00:01Z", 2500), 2500)
-    talk(alice.request_on_demand("conn", ["PTU"], "1970-01-01T00:00:59Z", 2600), 2600)
-    talk(alice.stop_realtime("conn", 2700), 2700)
+    talk(alice.request("conn", "fetch", 2500, ["PTU"], "1970-01-01T00:00:01Z"), 2500)
+    talk(alice.request("conn", "fetch", 2600, ["PTU"], "1970-01-01T00:00:59Z"), 2600)
+    talk(alice.request("conn", "stop", 2700), 2700)
     sent.extend(bob.on_frame("conn", b"[" * 60000, 2800))
     sent.extend(bob.on_frame("conn", b'{ "OpenWeatherMessage" : { "Type" : 100 } }', 2900))
     outbound = [o for o in sent if isinstance(o, Outbound)]
@@ -159,7 +159,7 @@ def test_first_stream_frame_carries_its_samples_time():
     alice, bob = established_pair()
     bob.on_tick(1000)
     # the subscription lands between ticks; later ticks catch up on 2000 and 3000
-    frames = pump(alice, bob, alice.request_realtime("conn", 3500), 3500) + bob.on_tick(3500)
+    frames = pump(alice, bob, alice.request("conn", "stream", 3500), 3500) + bob.on_tick(3500)
     messages = [decode(o.frame[:-1]) for o in frames]
     assert [m.type_code for m in messages] == [300, 300, 300]
     assert [parse_timestamp(m.meta.timestamp) for m in messages] == [1000, 2000, 3000]
@@ -195,7 +195,7 @@ def test_a_stall_of_k_intervals_makes_up_k_samples_in_one_tick(stall, late_ms, o
     alice, bob = runtime_for(1), runtime_for(2, generator=SampleGenerator(weather))
     for key in order:
         pump(bob, alice, pump(alice, bob, alice.connect(key, 0), 0), 0)
-        assert pump(alice, bob, alice.request_realtime(key, 500), 500) == []  # nothing sampled yet
+        assert pump(alice, bob, alice.request(key, "stream", 500), 500) == []  # nothing sampled yet
     stored, sweeps = [], []
 
     def insert(sample, insert=bob.store.insert):
@@ -225,7 +225,7 @@ def test_a_stall_of_k_intervals_makes_up_k_samples_in_one_tick(stall, late_ms, o
 def test_stream_fan_out_and_cadence():
     alice, bob = established_pair()
     bob.on_tick(1000)  # one stored sample before anyone subscribes
-    outputs = pump(alice, bob, alice.request_realtime("conn", 1500), 1500)
+    outputs = pump(alice, bob, alice.request("conn", "stream", 1500), 1500)
     # the freshest stored sample goes out immediately on subscription
     assert [decode(o.frame).type_code for o in outputs] == [300]
     assert list(bob.engine.subscribers) == ["conn"]
@@ -236,7 +236,7 @@ def test_stream_fan_out_and_cadence():
     sample = decode(ticked[0].frame)
     assert sample.data.ptu.air_temperature == "19.1"
     # unsubscribing stops the fan-out
-    confirm = pump(alice, bob, alice.stop_realtime("conn", 2500), 2500)
+    confirm = pump(alice, bob, alice.request("conn", "stop", 2500), 2500)
     assert [decode(o.frame).type_code for o in confirm] == [500]
     assert list(bob.engine.subscribers) == []
     assert all(not isinstance(o, Outbound) for o in bob.on_tick(3000))
@@ -249,7 +249,7 @@ def test_stream_fan_out_follows_subscription_order():
     assert sorted(keys, key=repr) == keys[::-1]
     for key in keys:
         pump(bob, alice, pump(alice, bob, alice.connect(key, 0), 0), 0)
-        pump(alice, bob, alice.request_realtime(key, 500), 500)
+        pump(alice, bob, alice.request(key, "stream", 500), 500)
     assert list(bob.engine.subscribers) == keys
     assert [o.key for o in bob.on_tick(1000) if isinstance(o, Outbound)] == keys
 
@@ -258,7 +258,7 @@ def test_stream_without_any_stored_sample_sends_nothing_until_tick():
     alice = runtime_for(1)
     bob = runtime_for(2, generator=SampleGenerator(GeneratorConfig(interval_ms=1000)))
     pump(bob, alice, pump(alice, bob, alice.connect("conn", 0), 0), 0)
-    outputs = pump(alice, bob, alice.request_realtime("conn", 500), 500)
+    outputs = pump(alice, bob, alice.request("conn", "stream", 500), 500)
     assert outputs == []  # nothing sampled yet
     ticked = bob.on_tick(1000)
     assert [decode(o.frame).type_code for o in ticked] == [300]
@@ -268,14 +268,14 @@ def test_on_demand_roundtrip_between_runtimes():
     alice, bob = established_pair()
     bob.on_tick(1000)
     bob.on_tick(2000)
-    ask = alice.request_on_demand("conn", ["PTU"], "1970-01-01T00:00:01Z", 2500)
+    ask = alice.request("conn", "fetch", 2500, ["PTU"], "1970-01-01T00:00:01Z")
     replies = pump(alice, bob, ask, 2600)
     reply = decode(replies[0].frame)
     assert reply.type_code == 301
     assert reply.meta.timestamp == "1970-01-01T00:00:01Z"
     assert reply.data.ptu.relative_humidity == "69.4"
     # miss: nothing stored at that second
-    replies = pump(alice, bob, alice.request_on_demand("conn", ["PTU"], "1970-01-01T00:00:59Z", 2700), 2700)
+    replies = pump(alice, bob, alice.request("conn", "fetch", 2700, ["PTU"], "1970-01-01T00:00:59Z"), 2700)
     assert decode(replies[0].frame).type_code == 601
 
 
@@ -298,7 +298,7 @@ def test_vendor_line_source_drives_the_runtime():
     alice = runtime_for(1)
     bob = runtime_for(2, generator=VendorLineSource(lines, interval_ms=1000))
     pump(bob, alice, pump(alice, bob, alice.connect("conn", 0), 0), 0)
-    pump(alice, bob, alice.request_realtime("conn", 500), 500)
+    pump(alice, bob, alice.request("conn", "stream", 500), 500)
     first = [o for o in bob.on_tick(1000) if isinstance(o, Outbound)]
     assert decode(first[0].frame).data.ptu.air_temperature == "18.7"
     second = [o for o in bob.on_tick(2000) if isinstance(o, Outbound)]
@@ -311,7 +311,7 @@ def test_vendor_line_source_drives_the_runtime():
 def test_disconnect_clears_subscription():
     alice, bob = established_pair()
     bob.on_tick(1000)
-    pump(alice, bob, alice.request_realtime("conn", 1500), 1500)
+    pump(alice, bob, alice.request("conn", "stream", 1500), 1500)
     assert list(bob.engine.subscribers) == ["conn"]
     bob.on_disconnect("conn", 1600)
     assert list(bob.engine.subscribers) == []
@@ -452,7 +452,7 @@ class SessionTableTracksConnections(RuleBasedStateMachine):
     @rule(
         first=st.booleans(),
         data=st.data(),
-        operation=st.sampled_from(("request_services", "request_peers", "request_realtime", "stop_realtime")),
+        operation=st.sampled_from(("discover", "peers", "stream", "stop")),
     )
     def request(self, first, data, operation):
         src, dst = self._pair(first)
@@ -460,7 +460,7 @@ class SessionTableTracksConnections(RuleBasedStateMachine):
             return
         key = data.draw(st.sampled_from(sorted(self.expected[src])))
         try:
-            outputs = getattr(src, operation)(key, self.now)
+            outputs = src.request(key, operation, self.now)
         except StateError:
             return
         self._carry(src, dst, outputs)

@@ -96,12 +96,12 @@ def replay() -> list:
         now += rng.randint(40, 450)
         deliver(server.on_tick(now), client, now)
         if step in (3, 9):
-            deliver(client.request_realtime("ab"[step == 9], now), server, now)
+            deliver(client.request("ab"[step == 9], "stream", now), server, now)
         action = rng.choice(("services", "peers", "hit", "hit", "miss"))
         if action == "services":
-            deliver(client.request_services("a", now), server, now)
+            deliver(client.request("a", "discover", now), server, now)
         elif action == "peers":
-            deliver(client.request_peers("a", now), server, now)
+            deliver(client.request("a", "peers", now), server, now)
         else:
             stored = [START_MS + 700 * n for n in range(1, (now - START_MS) // 700 + 1)]
             if action == "hit" and stored:
@@ -109,7 +109,7 @@ def replay() -> list:
             else:  # a second before the first sample or after the newest
                 wanted = rng.choice((START_MS - 1000 * rng.randint(1, 30), now + 1000 * rng.randint(1, 5)))
             services = rng.sample(("PTU", "WIND", "PRECIPITATION"), rng.randint(1, 3))
-            deliver(client.request_on_demand("a", services, format_timestamp(wanted), now), server, now)
+            deliver(client.request("a", "fetch", now, services, format_timestamp(wanted)), server, now)
     return emitted
 
 

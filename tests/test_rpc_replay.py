@@ -108,17 +108,17 @@ def replay() -> tuple:
             deliver(client.connect(key, now), server, now)
         kind, services, second = requests[index % REQUESTS]
         if kind == "discover":
-            deliver(client.request_services(key, now), server, now)
+            deliver(client.request(key, "discover", now), server, now)
         elif kind == "peers":
-            deliver(client.request_peers(key, now), server, now)
+            deliver(client.request(key, "peers", now), server, now)
         else:
-            deliver(client.request_on_demand(key, services, format_timestamp(START_MS + 1000 * second), now), server,
+            deliver(client.request(key, "fetch", now, services, format_timestamp(START_MS + 1000 * second)), server,
                     now)
-    deliver(client.request_realtime(key, now), server, now)
+    deliver(client.request(key, "stream", now), server, now)
     for _ in range(80):
         now += 250
         deliver(server.on_tick(now), client, now)
-    deliver(client.stop_realtime(key, now), server, now)
+    deliver(client.request(key, "stop", now), server, now)
     return digest.hexdigest()[:16], frames
 
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from openweather import scenario as scenario_module
 from openweather.codec import decode, format_timestamp, parse_timestamp
+from openweather.engine import OPERATIONS
 from openweather.node import Outbound
 from openweather.scenario import (
     Command,
@@ -148,6 +149,7 @@ def test_parse_link_defaults_and_loss():
         ("node a\nnode b\nlink a b latency_ms=-50", "line 3: latency_ms must not be negative"),
         ("node a\nnode b\nlink a b loss=2", "line 3: loss must be from 0 to 1"),
         ("node a\nnode b\nlink a b loss=nan", "line 3: loss must be from 0 to 1"),
+        ("node a\nnode b\nlink a b\nat -5 a handshake b", "line 4: time -5 is before the start"),
     ],
 )
 def test_parse_rejects_bad_input(line, fragment):
@@ -176,6 +178,32 @@ def test_node_with_a_setting_its_owner_refuses_is_refused_by_name(attribute, fra
     with pytest.raises(ScenarioError) as caught:
         SimRunner(parse_scenario("node n1\nnode a %s\n" % attribute))
     assert str(caught.value) == "node a: " + fragment
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("node a\nnode b\nat 0 a handshake b\n", "t=0 a handshake: no link between 'a' and 'b'"),
+        (
+            TWO_NODES + "at 500 n1 fetch n2 yesterday\n",
+            "t=500 n1 fetch: refusing to encode: retrieve timestamp malformed",
+        ),
+        (
+            TWO_NODES + "at 500 n1 fetch n2 1970-01-01T00:00:00Z FOO\n",
+            "t=500 n1 fetch: refusing to encode: unknown service 'FOO'",
+        ),
+    ],
+    ids=["unlinked-handshake", "fetch-bad-timestamp", "fetch-unknown-service"],
+)
+def test_command_the_network_or_codec_refuses_is_named(text, message):
+    with pytest.raises(ScenarioError) as caught:
+        run_scenario(text)
+    assert str(caught.value) == message
+
+
+def test_docstring_lists_every_verb():
+    documented = set(re.findall(r"``(\w+) <peer>", scenario_module.__doc__))
+    assert documented == set(OPERATIONS)
 
 
 def test_docstring_lists_every_attribute():

@@ -153,11 +153,11 @@ def test_handshake_and_discovery_roundtrip():
     server.start()
     client = make_client(server.port)
     try:
-        reply = client.handshake()
+        reply = client.request("handshake")
         assert int(reply.type_code) == ProtocolCode.HANDSHAKE_S
         assert reply.meta.node_id == server.runtime.config.node_id
 
-        catalog = client.services()
+        catalog = client.request("discover")
         assert int(catalog.type_code) == ProtocolCode.SERVICES_AVAILABLE_R
         assert catalog.info.services == {"PTU": "RO", "WIND": "RO", "PRECIPITATION": "RO"}
 
@@ -188,8 +188,8 @@ def test_client_decodes_each_reply_once(monkeypatch):
     port = server.port
     client = make_client(port)
     try:
-        client.handshake()
-        client.services()
+        client.request("handshake")
+        client.request("discover")
     finally:
         client.close()
         server.stop()
@@ -213,8 +213,8 @@ def test_peer_listing_excludes_the_requester():
     server.start()
     client = make_client(server.port)
     try:
-        client.handshake()
-        listing = client.peers()
+        client.request("handshake")
+        listing = client.request("peers")
         assert int(listing.type_code) == ProtocolCode.LIST_PEERS_R
         assert client.engine.config.node_id not in listing.info.peers
         ips = {entry.peer_ip for entry in listing.info.peers.values()}
@@ -229,20 +229,20 @@ def test_stream_stop_and_fetch_back():
     server.start()
     client = make_client(server.port)
     try:
-        client.handshake()
+        client.request("handshake")
         frames = client.stream(2)
         assert [int(e.type_code) for e in frames] == [ProtocolCode.REAL_TIME_DATA_R] * 2
         for envelope in frames:
             assert envelope.data is not None
             assert envelope.data.ptu.air_temperature != ""
 
-        done = client.stop()
+        done = client.request("stop")
         assert int(done.type_code) == ProtocolCode.REAL_TIME_DATA_S
 
         # the second frame came from a sensor tick, so its header stamp names
         # the stored sample's second and an on-demand fetch can reach it
         stamp = frames[-1].meta.timestamp
-        past = client.fetch(["PTU", "WIND", "PRECIPITATION"], stamp)
+        past = client.request("fetch", ["PTU", "WIND", "PRECIPITATION"], stamp)
         assert int(past.type_code) == ProtocolCode.ON_DEMAND_DATA_R
         assert past.meta.timestamp == stamp
         assert past.data is not None
@@ -256,9 +256,9 @@ def test_fetch_unknown_timestamp_faults_601():
     server.start()
     client = make_client(server.port)
     try:
-        client.handshake()
+        client.request("handshake")
         with pytest.raises(ProtocolFault) as caught:
-            client.fetch(["PTU"], "1999-01-01T00:00:00Z")
+            client.request("fetch", ["PTU"], "1999-01-01T00:00:00Z")
         assert caught.value.code == 601
     finally:
         client.close()
@@ -270,9 +270,9 @@ def test_fetch_unserved_group_faults_602():
     server.start()
     client = make_client(server.port)
     try:
-        client.handshake()
+        client.request("handshake")
         with pytest.raises(ProtocolFault) as caught:
-            client.fetch(["WIND"], "1999-01-01T00:00:00Z")
+            client.request("fetch", ["WIND"], "1999-01-01T00:00:00Z")
         assert caught.value.code == 602
     finally:
         client.close()
@@ -327,7 +327,7 @@ def test_closed_connections_leave_no_sessions():
         for _ in range(20):
             client = make_client(server.port)
             try:
-                client.handshake()
+                client.request("handshake")
             finally:
                 client.close()
         deadline = time.monotonic() + 1.0
@@ -345,7 +345,7 @@ def test_a_silent_client_is_hung_up_and_its_session_dropped():
     config.keep_alive_ms = 2000  # the budget the server holds this client to
     client = PeerClient("127.0.0.1", server.port, config, timeout_s=5.0)
     try:
-        client.handshake()
+        client.request("handshake")
         assert len(server.runtime.sessions) == 1
         started = time.monotonic()
         try:
@@ -388,12 +388,12 @@ def test_a_reply_that_cannot_be_encoded_draws_600_and_the_node_serves_on():
     first = make_client(server.port, seed=21)
     second = None
     try:
-        first.handshake()
+        first.request("handshake")
         with pytest.raises(ProtocolFault) as caught:
-            first.peers()
+            first.request("peers")
         assert caught.value.code == 600
         second = make_client(server.port, seed=22)
-        assert int(second.handshake().type_code) == ProtocolCode.HANDSHAKE_S
+        assert int(second.request("handshake").type_code) == ProtocolCode.HANDSHAKE_S
         assert server._thread.is_alive()
     finally:
         first.close()
@@ -429,7 +429,7 @@ def test_stop_returns_at_once_while_the_next_timer_is_far_away(monkeypatch):
     port = server.port
     client = make_client(port)
     try:
-        client.handshake()
+        client.request("handshake")
         started = time.monotonic()
         server.stop()
         assert time.monotonic() - started < 0.5
@@ -466,7 +466,7 @@ def test_a_reader_that_stalls_neither_delays_others_nor_stays_connected(monkeypa
     try:
         client.sock.settimeout(1.0)
         started = time.monotonic()
-        client.handshake()
+        client.request("handshake")
         assert time.monotonic() - started < 1.0
         deadline = time.monotonic() + 5.0
         while server.runtime.engine.subscribers and time.monotonic() < deadline:
