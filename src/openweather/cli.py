@@ -120,7 +120,7 @@ def build_parser() -> _Parser:
 
 
 def _build_config(args) -> NodeConfig:
-    """The node's settings; the runtime built from them refuses a header it cannot send."""
+    """The node's settings; the engine built from them refuses a header it cannot send."""
     try:
         location = UtmLocation.parse(args.location)
     except ValueError as exc:
@@ -188,7 +188,6 @@ def _run_tcp(args) -> int:
         config,
         generator=_sample_source(args),
         store=SampleStore(),
-        local_ip=args.ip,
         start_ms=time_ms(),  # anchor sample/sweep timers to the wall clock
     )
     if args.bootstrap:
@@ -272,11 +271,8 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print("owp: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except EncodeError as exc:
-        # validation refused a request, or a node header, before it hit the wire
+    except (UsageError, EncodeError) as exc:
+        # an EncodeError: validation refused a request, or a node header, before it hit the wire
         print("owp: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ProtocolFault as fault:

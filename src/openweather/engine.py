@@ -42,6 +42,7 @@ from .codec import (
     DEFAULT_PEERS_REQUESTED,
     DEFAULT_PORT,
     DEFAULT_UPDATE_INTERVAL_MS,
+    ERROR_CODES,
     SERVICES,
     EncodeError,
     Envelope,
@@ -280,7 +281,7 @@ class Engine:
                 return [self.status_message(ProtocolCode.REAL_TIME_DATA_S, now_ms)]
             return self._unexpected(now_ms)
 
-        if 600 <= code <= 699 and state in _ANSWERABLE:
+        if code in ERROR_CODES and state in _ANSWERABLE:
             return []
 
         return self._unexpected(now_ms)
@@ -289,7 +290,7 @@ class Engine:
         return [self.status_message(ProtocolCode.UNEXPECTED_MESSAGE, now_ms)]
 
     def _register(self, session: Session, meta: MetaInfo, now_ms: int) -> None:
-        record = PeerRecord(
+        session.remote = self._upsert(PeerRecord(
             node_id=meta.node_id,
             peer_ip=meta.peer_ip,
             port=meta.port,
@@ -297,26 +298,24 @@ class Engine:
             location=meta.location,
             keep_alive_ms=meta.keep_alive_ms,
             last_rx=now_ms,
-        )
-        try:
-            record = self.peer_table.upsert(record)
-        except TableFullError as exc:
-            log.warning("%s", exc)
-        session.remote = record
+        ))
 
     def _merge_listing(self, listing: dict, now_ms: int) -> None:
         for node_id, entry in listing.items():
-            record = PeerRecord(
+            self._upsert(PeerRecord(
                 node_id=node_id,
                 peer_ip=entry.peer_ip,
                 port=entry.port,
                 bandwidth=entry.bandwidth,
                 last_rx=now_ms,
-            )
-            try:
-                self.peer_table.upsert(record)
-            except TableFullError as exc:
-                log.warning("%s", exc)
+            ))
+
+    def _upsert(self, record: PeerRecord) -> PeerRecord:
+        try:
+            return self.peer_table.upsert(record)  # the merged record
+        except TableFullError as exc:
+            log.warning("%s", exc)
+            return record  # the full table dropped it: the caller still gets it, unmerged
 
     def _serve_peer_list(self, envelope: Envelope, now_ms: int) -> list:
         wanted = min(envelope.meta.peers_requested, 100)

@@ -4,7 +4,8 @@ A NodeRuntime owns the engine, sample store and sensor generator of one
 node, and exposes plain event-in/outputs-out methods.  A transport (the
 TCP server or the simulator) calls them with its own notion of time, then
 performs the returned sends and hangups; the runtime itself never blocks
-and never touches a socket.
+and never touches a socket.  The TCP client holds no runtime: it is the
+engine's requester side on one session.
 
 A session lives exactly as long as its connection.  open_session (a peer
 connected to us) and connect (we connect to a peer) open one, and its
@@ -18,9 +19,9 @@ On an open session, request(key, verb, now_ms, *query) starts any
 operation of engine.OPERATIONS as the requester; connect is open_session
 followed by the handshake request.
 
-Each inbound frame is one guarded step: decode_checked, which decodes and
-checks the frame in one walk, dispatch, and encoding the envelopes the
-engine answers with.  Whatever fails in that step, the peer's frame or a
+on_frame is the only way in for a frame, and each is one guarded step:
+decode_checked (decode and check in one walk), dispatch, and encoding the
+engine's answers.  Whatever fails in that step, the peer's frame or a
 reply this node cannot encode, is answered by _reject with one type-600
 status, so no frame escapes on_frame to stop the transport loop.  The
 engine keeps the subscriber table; on_tick encodes each new sample's
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 # decode and validate are unused here but stay module attributes: bench/tracer.py wraps node.decode and node.validate
 from .codec import (  # noqa: F401
-    Envelope, ParseError, ProtocolCode, SchemaError, UnknownCodeError, decode, decode_checked, encode, validate,
+    ParseError, ProtocolCode, SchemaError, UnknownCodeError, decode, decode_checked, encode, validate,
 )
 from .engine import Engine, NodeConfig, Session
 from .sensors import SampleGenerator, SampleStore
@@ -90,10 +91,6 @@ class NodeRuntime:
 
     # -- sessions -------------------------------------------------------------
 
-    def session(self, key) -> Session:
-        """The open session on key; KeyError if there is none."""
-        return self.sessions[key]
-
     def open_session(self, key, now_ms: int) -> Session:
         """Start the session of a connection a peer made to us at now_ms."""
         session = self.sessions[key] = Session(key, last_rx=now_ms)
@@ -112,15 +109,7 @@ class NodeRuntime:
     # -- inbound --------------------------------------------------------------
 
     def on_frame(self, key, frame: bytes, now_ms: int) -> list:
-        """Decode and check one frame, then dispatch it; returns outputs."""
-        return self._step(key, now_ms, frame=frame)
-
-    def on_envelope(self, key, envelope: Envelope, now_ms: int) -> list:
-        """Dispatch one envelope that the caller has decoded and validated."""
-        return self._step(key, now_ms, envelope=envelope)
-
-    def _step(self, key, now_ms: int, frame: bytes | None = None, envelope: Envelope | None = None) -> list:
-        """The one guarded step of an inbound frame, or of its envelope.
+        """Decode and check one frame, dispatch it and encode the replies; returns outputs.
 
         A frame for a key without a session (closed, or never opened) is
         dropped before it is decoded and draws no reply.  Anything that
@@ -131,8 +120,7 @@ class NodeRuntime:
         if session is None:
             return []
         try:
-            if envelope is None:
-                envelope = decode_checked(frame)
+            envelope = decode_checked(frame)
             return self._outbound(key, self.engine.handle_message(session, envelope, now_ms))
         except (ParseError, SchemaError, UnknownCodeError) as exc:  # the peer's frame
             log.info("rejected frame on %r: %s", key, exc)
@@ -152,7 +140,7 @@ class NodeRuntime:
 
     def request(self, key, verb: str, now_ms: int, *query) -> list:
         """Start an operation on the session on key; see Engine.request."""
-        return self._outbound(key, self.engine.request(self.session(key), verb, now_ms, *query))
+        return self._outbound(key, self.engine.request(self.sessions[key], verb, now_ms, *query))
 
     # -- timers ---------------------------------------------------------------
 

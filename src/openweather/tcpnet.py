@@ -6,12 +6,11 @@ longer than 64 KiB are a framing error and the connection is dropped.
 NodeServer drives a NodeRuntime from one thread: one selectors loop over
 non-blocking sockets that sleeps until a socket is ready or the runtime's
 next timer is due.  A peer whose unsent backlog passes MAX_BACKLOG is
-dropped.  PeerClient runs one-shot operations over a NodeRuntime of its
-own: request(verb, *query) starts the operation through
-NodeRuntime.request and waits for the reply code that engine.OPERATIONS
-names for it.  It decodes and checks each reply once, in decode_checked's
-one walk, then passes it to NodeRuntime.on_envelope, which runs the
-server's on_frame step from dispatch on.
+dropped.  PeerClient is the engine's requester side on one session, with
+no runtime: request(verb, *query) sends what Engine.request builds and
+waits for the reply code that engine.OPERATIONS names for it.  It decodes
+and checks each reply once, in decode_checked's one walk, hands it to
+Engine.handle_message and sends what the engine answers.
 """
 
 from __future__ import annotations
@@ -23,9 +22,10 @@ import threading
 import time
 import types
 
-from .codec import Envelope, decode_checked
-from .engine import OPERATIONS, NodeConfig
+from .codec import ERROR_CODES, Envelope, decode_checked, encode
+from .engine import OPERATIONS, Engine, NodeConfig, Session
 from .node import NodeRuntime, Outbound
+from .sensors import SampleStore
 
 log = logging.getLogger(__name__)
 
@@ -213,14 +213,12 @@ class PeerClient:
     """Blocking client: handshake once, then run operations in turn."""
 
     def __init__(self, host: str, port: int, config: NodeConfig, timeout_s: float = 10.0):
-        # the runtime refuses a header it could not send before anything connects;
+        # the engine refuses a header it could not send before anything connects;
         # once connected, the header carries the address the socket got
-        self.runtime = NodeRuntime(config)
-        self.engine = self.runtime.engine
+        self.engine = Engine(config, sample_store=SampleStore())  # empty: a node's fetch draws 601
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
         self.engine.local_ip = self.sock.getsockname()[0]
-        self._remote = (host, port)  # also the session's key in the runtime
-        self.runtime.open_session(self._remote, time_ms())
+        self.session = Session((host, port), last_rx=time_ms())
         self._splitter = FrameSplitter()
         self._inbox: list = []
 
@@ -228,7 +226,7 @@ class PeerClient:
         self.sock.close()
 
     def recv(self) -> Envelope:
-        """Next inbound message, once the runtime has answered it; raises
+        """Next inbound message, once the engine has answered it; raises
         a CodecError for one that decode_checked refuses."""
         while not self._inbox:
             data = self.sock.recv(65536)
@@ -236,13 +234,12 @@ class PeerClient:
                 raise ConnectionError("connection closed by remote node")
             self._inbox.extend(self._splitter.feed(data))
         envelope = decode_checked(self._inbox.pop(0))
-        self._write(self.runtime.on_envelope(self._remote, envelope, time_ms()))
+        self._send(self.engine.handle_message(self.session, envelope, time_ms()))
         return envelope
 
-    def _write(self, outputs: list) -> None:
-        for output in outputs:
-            if isinstance(output, Outbound):
-                self.sock.sendall(output.frame)
+    def _send(self, envelopes: list) -> None:
+        for envelope in envelopes:
+            self.sock.sendall(encode(envelope) + b"\n")
 
     def _await(self, code: int) -> Envelope:
         """Read until a message of type code arrives; ProtocolFault on a 6xx status."""
@@ -251,15 +248,15 @@ class PeerClient:
             got = int(envelope.type_code)
             if got == code:
                 return envelope
-            if 600 <= got <= 699:
+            if got in ERROR_CODES:
                 raise ProtocolFault(got)
 
     def request(self, verb: str, *query) -> Envelope:
         """Run the operation verb of OPERATIONS: send its request, return the reply that completes it."""
-        self._write(self.runtime.request(self._remote, verb, time_ms(), *query))
+        self._send(self.engine.request(self.session, verb, time_ms(), *query))
         return self._await(OPERATIONS[verb][1])
 
     def stream(self, count: int) -> list:
         """Subscribe to the node's stream; returns its first count frames."""
-        self._write(self.runtime.request(self._remote, "stream", time_ms()))
+        self._send(self.engine.request(self.session, "stream", time_ms()))
         return [self._await(OPERATIONS["stream"][1]) for _ in range(count)]

@@ -63,8 +63,8 @@ def test_handshake_between_two_runtimes():
     assert decode(replies[0].frame).type_code == 101
     back = pump(bob, alice, replies, now_ms=2)
     assert back == []
-    assert alice.session("conn").state is SessionState.ESTABLISHED
-    assert bob.session("conn").state is SessionState.ESTABLISHED
+    assert alice.sessions["conn"].state is SessionState.ESTABLISHED
+    assert bob.sessions["conn"].state is SessionState.ESTABLISHED
     assert "%064x" % 2 in alice.engine.peer_table
     assert "%064x" % 1 in bob.engine.peer_table
 
@@ -104,27 +104,12 @@ def test_dispatch_error_answered_with_unexpected_status(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="openweather.node"):
         (reply,) = bob.on_frame("conn", encode(alice.engine.status_message(102, 5)), now_ms=5)
     assert reply.code == 600 and decode(reply.frame[:-1]).type_code == 600
-    assert bob.session("conn").last_rx == 5
+    assert bob.sessions["conn"].last_rx == 5
     assert "RuntimeError: boom" in caplog.text  # the traceback is logged
     # the node carries on: the next good frame is dispatched as usual
     monkeypatch.setattr(Engine, "handle_message", dispatch)
     replies = pump(alice, bob, alice.request("conn", "discover", 6), 6)
     assert [o.code for o in replies] == [103]
-
-
-def test_on_envelope_dispatches_an_envelope_decoded_elsewhere(monkeypatch):
-    alice, bob = established_pair()
-    (request,) = alice.request("conn", "discover", 5)
-    (reply,) = bob.on_envelope("conn", decode(request.frame[:-1]), 5)
-    assert reply.code == 103 and decode(reply.frame[:-1]).info.services
-
-    def explode(self, session, envelope, now_ms):
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(Engine, "handle_message", explode)
-    (reply,) = bob.on_envelope("conn", decode(request.frame[:-1]), 7)
-    assert reply.code == 600
-    assert bob.session("conn").last_rx == 7
 
 
 def test_every_outbound_carries_its_frames_type_code():
@@ -182,7 +167,7 @@ def test_handshake_whose_id_ends_in_a_newline_is_refused():
     outputs = bob.on_frame("conn", frame.replace(b'"%s"' % node_id.encode(), b'"%s\\n"' % node_id.encode()), 1)
     assert [(o.code, decode(o.frame).type_code) for o in outputs] == [(600, 600)]
     assert len(bob.engine.peer_table) == 0
-    assert bob.session("conn").state is SessionState.IDLE
+    assert bob.sessions["conn"].state is SessionState.IDLE
 
 
 @settings(deadline=None)
@@ -525,7 +510,8 @@ def test_any_frame_on_an_established_session_is_answered_or_dispatched(frame):
     except CodecError:
         envelope = None
     if envelope is not None and validate(envelope).ok:
-        assert outputs == twin.on_envelope("conn", envelope, 5000)
+        replies = twin.engine.handle_message(twin.sessions["conn"], envelope, 5000)
+        assert outputs == [Outbound("conn", encode(e) + b"\n", int(e.type_code)) for e in replies]
     else:
         (reply,) = outputs
         assert reply.key == "conn" and reply.code == 600

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from openweather import node, tcpnet
 from openweather.codec import ProtocolCode, UtmLocation, decode, encode
-from openweather.engine import Engine, NodeConfig
+from openweather.engine import Engine, NodeConfig, Session
 from openweather.identity import random_node_id
 from openweather.node import NodeRuntime
 from openweather.peers import PeerRecord
@@ -195,8 +195,61 @@ def test_client_decodes_each_reply_once(monkeypatch):
         server.stop()
     # two requests and two replies, each decoded by its receiver alone
     assert len(decoded) == 4
-    # the client's runtime still took the replies in: the handshake reply registered the server
-    assert client.runtime.session(("127.0.0.1", port)).remote.node_id == server.runtime.config.node_id
+    # the client's engine still took the replies in: the handshake reply registered the server
+    assert client.session.remote.node_id == server.runtime.config.node_id
+
+
+def test_client_answers_what_the_node_sends_as_the_engine_says():
+    # the fake node is a second engine behind a listening socket
+    fake, session = Engine(make_config(3), local_ip="127.0.0.1"), Session()
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(5.0)
+    received = []
+
+    def serve():
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5.0)
+                splitter, inbox = FrameSplitter(), []
+
+                def read():
+                    while not inbox:
+                        data = conn.recv(65536)
+                        if not data:
+                            raise ConnectionError("the client hung up early")
+                        inbox.extend(splitter.feed(data))
+                    return decode(inbox.pop(0))
+
+                def send(envelopes):
+                    conn.sendall(b"".join(encode(e) + b"\n" for e in envelopes))
+
+                now = time_ms()
+                # the 101, then a request for the client's catalog and a PTU fetch of its store
+                send(fake.handle_message(session, read(), now))
+                send(fake.request(session, "discover", now))
+                send(fake.request(session, "fetch", now, ["PTU"], "2000-01-01T00:00:00Z"))
+                received.extend(read() for _ in range(3))
+                send(fake.handle_message(session, received[0], time_ms()))  # the 105
+                conn.recv(65536)  # until the client hangs up
+        except OSError:
+            pass
+
+    peer = threading.Thread(target=serve, daemon=True)
+    peer.start()
+    client = make_client(listener.getsockname()[1])
+    try:
+        assert int(client.request("handshake").type_code) == ProtocolCode.HANDSHAKE_S
+        assert int(client.request("peers").type_code) == ProtocolCode.LIST_PEERS_R
+    finally:
+        client.close()
+        listener.close()
+        peer.join(timeout=2)
+    assert not peer.is_alive()
+    # the 601 comes from the client's empty store; a 602 would mean it has none
+    assert [int(e.type_code) for e in received] == [107, 103, 601]
 
 
 def test_peer_listing_excludes_the_requester():
