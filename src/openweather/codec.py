@@ -30,6 +30,17 @@ full.  For those exact entries validate skips their checks and encode skips
 rendering them; every header is checked and rendered each time, and encode
 still runs validate on every envelope before encoding it.
 
+A second memo keeps what one process receives again and again: up to 64
+frames that decode_checked accepted, their exact bytes -> the Envelope,
+cleared when full.  A frame seen again returns that Envelope unparsed and
+unchecked, which is sound because decode_checked is a pure function of the
+bytes and the Envelope is frozen.  Only a bytes object of at most 4 KiB is
+kept, and only when its envelope carries no "Info", whose dicts a receiver
+could change; a refused frame is never kept and is refused again each
+time.  The memo is process-wide because the frames repeat across nodes: a
+simulator hosts every node in one process and hands each subscriber the
+same stream frame, so a hub's fan-out is decoded once, not once per leaf.
+
 decode parses with one shared JSON decoder and walks the tree once,
 reading each fixed-key object in one call when each of its members holds
 its wire type.  decode_checked, which a node runs on every inbound frame,
@@ -61,6 +72,7 @@ import json
 import math
 import operator
 import re
+import threading
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import IntEnum
@@ -977,14 +989,36 @@ def decode(raw) -> Envelope:
     return Envelope(code, meta, data, info, retrieve)
 
 
+# The frame memo of the module docstring.  An envelope without "Info" holds
+# only frozen objects, strs, ints and tuples, so every receiver of one frame
+# can share it; an "Info" payload holds dicts, so it is decoded anew for each
+# receiver.  Each frame is stored in a single assignment and a hit reads it
+# without the lock, which only keeps two threads that miss at once from
+# filling the memo past its bound.
+_FRAMES_MAX = 64
+_FRAME_LEN = 4096
+_frames: dict = {}  # exact bytes of an accepted frame -> its Envelope, whose info is None
+_frames_lock = threading.Lock()
+
+
 def decode_checked(raw) -> Envelope:
     """decode, then refuse an envelope that validate would find problems in.
 
     Raises what decode raises, or SchemaError("invalid envelope: ...")
     listing the problems as validate reports them.
     """
+    kept = type(raw) is bytes and len(raw) <= _FRAME_LEN
+    if kept:
+        envelope = _frames.get(raw)
+        if envelope is not None:
+            return envelope
     envelope = decode(raw)
     problems = _problems(envelope, decoded=True)
     if problems:
         raise SchemaError("invalid envelope: " + "; ".join(problems))
+    if kept and envelope.info is None:
+        with _frames_lock:
+            if len(_frames) >= _FRAMES_MAX:
+                _frames.clear()
+            _frames[raw] = envelope
     return envelope

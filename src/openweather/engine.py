@@ -290,7 +290,7 @@ class Engine:
         return [self.status_message(ProtocolCode.UNEXPECTED_MESSAGE, now_ms)]
 
     def _register(self, session: Session, meta: MetaInfo, now_ms: int) -> None:
-        session.remote = self._upsert(PeerRecord(
+        record = PeerRecord(
             node_id=meta.node_id,
             peer_ip=meta.peer_ip,
             port=meta.port,
@@ -298,24 +298,30 @@ class Engine:
             location=meta.location,
             keep_alive_ms=meta.keep_alive_ms,
             last_rx=now_ms,
-        ))
+        )
+        try:
+            record = self.peer_table.upsert(record)  # the merged record
+        except TableFullError as exc:
+            log.warning("%s", exc)  # the full table dropped it: the session still gets it, unmerged
+        session.remote = record
 
     def _merge_listing(self, listing: dict, now_ms: int) -> None:
+        # one warning per listing, however many of its ids a full table refuses
+        refused = 0
         for node_id, entry in listing.items():
-            self._upsert(PeerRecord(
-                node_id=node_id,
-                peer_ip=entry.peer_ip,
-                port=entry.port,
-                bandwidth=entry.bandwidth,
-                last_rx=now_ms,
-            ))
-
-    def _upsert(self, record: PeerRecord) -> PeerRecord:
-        try:
-            return self.peer_table.upsert(record)  # the merged record
-        except TableFullError as exc:
-            log.warning("%s", exc)
-            return record  # the full table dropped it: the caller still gets it, unmerged
+            try:
+                self.peer_table.upsert(PeerRecord(
+                    node_id=node_id,
+                    peer_ip=entry.peer_ip,
+                    port=entry.port,
+                    bandwidth=entry.bandwidth,
+                    last_rx=now_ms,
+                ))
+            except TableFullError:
+                refused += 1
+        if refused:
+            log.warning("peer table at capacity (%d), dropped %d of %d listed peers",
+                        self.peer_table.capacity, refused, len(listing))
 
     def _serve_peer_list(self, envelope: Envelope, now_ms: int) -> list:
         wanted = min(envelope.meta.peers_requested, 100)

@@ -4,6 +4,7 @@ import re
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +169,13 @@ def test_sim_run_prints_the_trace(capsys, tmp_path):
     assert lines[0].startswith("t=0 n1->n2 send type=100 bytes=")
     assert all(line.startswith("t=") for line in lines)
     assert "type=101" in lines[-1]
+
+
+def test_sim_run_prints_the_recorded_hub_trace(capsys):
+    # a hub's fan-out to three leaves, byte for byte as examples/hub.trace records it
+    examples = Path(__file__).resolve().parent.parent / "examples"
+    assert main(["run", "--transport", "sim", "--scenario", str(examples / "hub.owp")]) == 0
+    assert capsys.readouterr().out == (examples / "hub.trace").read_text(encoding="utf-8")
 
 
 def test_sim_until_cuts_the_run(capsys, tmp_path):

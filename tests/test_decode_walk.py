@@ -6,17 +6,35 @@ class with the same message; decode must match the reference decode in
 the same way.  The inputs are trees, well-formed or hostile, built by one
 generator from a chooser, which Hypothesis drives in one test and a seeded
 random.Random in the other.
+
+decode_checked keeps the envelopes of accepted frames in a memo.  It may
+only ever skip work: whatever was decoded before, each frame must give what
+it gives with the memo empty, and the memo stays within its bounds.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
+import sys
+import threading
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import captures
 import decode_reference as reference
-from openweather.codec import SERVICE_FLAGS, SERVICES, Envelope, decode, decode_checked
+from openweather import codec
+from openweather.codec import (
+    SERVICE_FLAGS,
+    SERVICES,
+    Envelope,
+    InfoPayload,
+    PeerEntry,
+    decode,
+    decode_checked,
+    encode,
+    format_timestamp,
+)
 
 CLEAN_ID = "0123456789abcdef" * 4
 CLEAN_TIME = "2011-07-20T16:51:29Z"
@@ -265,3 +283,133 @@ def test_a_seeded_hash_of_hostile_frames_matches_the_reference():
     assert ours.hexdigest()[:16] == HOSTILE_FRAMES_SHA256  # the walk's outcomes themselves, not only the agreement
     # the frames reach every stage: some pass, and many kinds of refusal show
     assert accepted >= 500 and len(refusals) >= 80, (accepted, len(refusals))
+
+
+# -- the frame memo -------------------------------------------------------------------
+
+HEADER = decode(captures.TEST1_NODE1).meta
+
+
+def memo_free(raw) -> tuple:
+    """decode_checked's outcome for raw with the frame memo empty, as before anything was decoded."""
+    kept = codec._frames
+    codec._frames = {}
+    try:
+        return reference.outcome(decode_checked, raw)
+    finally:
+        codec._frames = kept
+
+
+def header_frame(n: int) -> bytes:
+    """A distinct accepted header-only frame for each n."""
+    return encode(Envelope(101, dataclasses.replace(HEADER, timestamp=format_timestamp(1000 * n))))
+
+
+def listing_frame(seed: int, size: int) -> bytes:
+    rng = random.Random(seed)
+    peers = {"%064x" % rng.getrandbits(256): PeerEntry("10.0.0.%d" % rng.randint(1, 254), rng.randint(1, 65535),
+                                                       rng.randint(0, 8)) for _ in range(size)}
+    return encode(Envelope(105, HEADER, info=InfoPayload(peers=peers)))
+
+
+def respaced(text: str, picks: list) -> str:
+    """text with the separators at picks written without their spaces: another frame, the same message."""
+    spots = [at for at in range(len(text)) if text.startswith((" : ", ", "), at)]
+    for at in sorted({spots[pick % len(spots)] for pick in picks}, reverse=True):
+        text = text[:at] + text[at:at + 3].replace(" ", "") + text[at + 3:]
+    return text
+
+
+@st.composite
+def frame_sequences(draw) -> list:
+    """Captures, respaced captures, t105 and t103 listings and hostile frames, each now and then sent again."""
+    frames = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("capture", "respaced", "t105", "t103", "hostile", "again")))
+        text = draw(st.sampled_from(captures.ALL))[1]
+        if kind == "again" and frames:
+            raw = draw(st.sampled_from(frames))
+        elif kind == "respaced":
+            raw = respaced(text, draw(st.lists(st.integers(0, 99), max_size=4))).encode()
+        elif kind == "t105":
+            raw = listing_frame(draw(st.integers(0, 3)), draw(st.sampled_from((0, 1, 3, 100))))
+        elif kind == "t103":
+            raw = captures.TEST2_NODE4.encode()
+        elif kind == "hostile":
+            raw = Frames(lambda options: draw(st.sampled_from(options))).frame()
+        else:
+            raw = text.encode()
+        frames.append(raw)
+    return frames
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(frame_sequences())
+def test_the_frame_memo_changes_no_outcome(frames):
+    for raw in frames:
+        got = reference.outcome(decode_checked, raw)
+        assert got == memo_free(raw) == reference.outcome(reference.decode_checked, raw)
+        if got[0] is not Envelope:  # a refused frame is never kept, and is refused again
+            assert raw not in codec._frames
+            assert reference.outcome(decode_checked, raw) == got
+
+
+def test_each_decode_of_a_listing_gets_its_own_peers():
+    raw = listing_frame(1, 3)
+    first, second = decode_checked(raw), decode_checked(raw)
+    assert first == second
+    assert first.info.peers is not second.info.peers
+    assert raw not in codec._frames
+
+
+def test_the_frame_memo_keeps_an_accepted_frame():
+    raw = captures.TEST3_NODE1.encode()
+    first = decode_checked(raw)
+    assert codec._frames[raw] is first
+    assert decode_checked(bytes(bytearray(raw))) is first  # equal bytes, another object
+
+
+def test_the_frame_memo_stays_bounded():
+    for n in range(10 * codec._FRAMES_MAX):
+        decode_checked(header_frame(n))
+        assert len(codec._frames) <= codec._FRAMES_MAX == 64
+
+
+def test_the_frame_memo_keeps_only_bytes_of_up_to_4_kib():
+    codec._frames.clear()
+    text = captures.TEST3_NODE1
+    largest = (text + " " * (4096 - len(text))).encode()  # trailing whitespace is allowed
+    for raw in (largest + b" ", largest.decode(), bytearray(largest), memoryview(largest)):
+        for _ in range(2):
+            assert memo_free(raw) == reference.outcome(decode_checked, raw)
+        assert codec._frames == {}
+    decode_checked(largest)
+    assert list(codec._frames) == [largest]
+
+
+def test_threads_decoding_different_frames_get_their_own_envelopes():
+    # 4 threads of 20 frames each: more threads than this host has cores, and
+    # more frames than the memo keeps, so it is cleared while they run
+    frames = [[header_frame(1000 + 20 * index + n) for n in range(20)] for index in range(4)]
+    expected = {raw: reference.shape(reference.decode_checked(raw)) for raws in frames for raw in raws}
+    wrong = []
+
+    def work(index):
+        for step in range(2000):
+            raw = frames[index][step % 20]
+            if reference.shape(decode_checked(raw)) != expected[raw]:
+                wrong.append(index)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(len(frames))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(codec._frames) <= codec._FRAMES_MAX

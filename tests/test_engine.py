@@ -1,6 +1,7 @@
 """Session state machine: dispatch, serving, requester ops, keep-alive."""
 
 import dataclasses
+import logging
 import random
 
 import pytest
@@ -186,6 +187,27 @@ def test_peer_list_receipt_merges_without_echo():
     assert replies == []
     assert "c" * 64 in engine.peer_table
     assert engine.peer_table.get("c" * 64).last_rx == 7
+
+
+def test_a_listing_into_a_full_table_logs_one_warning(caplog):
+    table = PeerTable(capacity=1)
+    table.upsert(PeerRecord(node_id="%064x" % 9, peer_ip="10.0.0.9", port=62535, bandwidth=6))
+    engine = Engine(config(), peer_table=table)
+    session = Session(state=SessionState.ESTABLISHED)
+    listing = {"%064x" % (100 + n): PeerEntry("10.0.1.%d" % (n + 1), 62535, 4) for n in range(100)}
+    with caplog.at_level(logging.WARNING, logger="openweather.engine"):
+        assert engine.handle_message(session, inbound(105, info=InfoPayload(peers=listing)), now_ms=7) == []
+    assert len(table) == 1
+    assert [record.getMessage() for record in caplog.records] == [
+        "peer table at capacity (1), dropped 100 of 100 listed peers"
+    ]
+    # a handshake from one more stranger still writes its own line, and the session still knows its peer
+    caplog.clear()
+    handshake = Session()
+    with caplog.at_level(logging.WARNING, logger="openweather.engine"):
+        engine.handle_message(handshake, inbound(100), now_ms=8)
+    assert len(caplog.records) == 1 and "dropped %064x" % 2 in caplog.records[0].getMessage()
+    assert handshake.remote.node_id == "%064x" % 2 and len(table) == 1
 
 
 def test_status_codes_are_swallowed():

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from openweather import scenario as scenario_module
+from openweather import codec, node as node_module, scenario as scenario_module
 from openweather.codec import decode, format_timestamp, parse_timestamp
 from openweather.engine import OPERATIONS
 from openweather.node import Outbound
@@ -489,3 +489,62 @@ def test_golden_trace_is_pinned():
     hub, quiet, busy = (runner.nodes[name].runtime for name in ("hub", "quiet", "busy"))
     assert quiet.sessions == {}
     assert list(hub.sessions) == list(busy.sessions)
+
+
+# A hub streaming each second to six leaves on links from 56 kbit/s to
+# 10 Mbit/s; four leaves also ask for services, peers and a stored sample.
+FANOUT = """
+node hub ip=10.0.0.1 interval=1000 seed=11
+node leaf0 ip=10.0.0.2 interval=60000 seed=20
+node leaf1 ip=10.0.0.3 interval=60000 seed=21
+node leaf2 ip=10.0.0.4 interval=60000 seed=22
+node leaf3 ip=10.0.0.5 interval=60000 seed=23
+node leaf4 ip=10.0.0.6 interval=60000 seed=24
+node leaf5 ip=10.0.0.7 interval=60000 seed=25
+link hub leaf0 latency_ms=40 bandwidth=56000
+link hub leaf1 latency_ms=5 bandwidth=10000000
+link hub leaf2 latency_ms=20 bandwidth=128000
+link hub leaf3 latency_ms=1 bandwidth=2000000
+link hub leaf4 latency_ms=60 bandwidth=56000
+link hub leaf5 latency_ms=10 bandwidth=1000000
+at 0 leaf0 handshake hub
+at 10 leaf1 handshake hub
+at 20 leaf2 handshake hub
+at 30 leaf3 handshake hub
+at 40 leaf4 handshake hub
+at 50 leaf5 handshake hub
+at 500 leaf0 stream hub
+at 510 leaf1 stream hub
+at 520 leaf2 stream hub
+at 530 leaf3 stream hub
+at 540 leaf4 stream hub
+at 550 leaf5 stream hub
+at 1500 leaf1 discover hub
+at 2500 leaf2 peers hub
+at 3500 leaf3 fetch hub 1970-01-01T00:00:02Z PTU,WIND
+at 4500 leaf4 peers hub
+at 5500 leaf0 stop hub
+"""
+
+
+def test_the_frame_memo_leaves_a_fan_out_trace_as_it_was(monkeypatch):
+    decodes = []
+    real_decode = codec.decode
+
+    def counted(raw):
+        decodes.append(raw)
+        return real_decode(raw)
+
+    def memo_free(raw):
+        codec._frames.clear()
+        return codec.decode_checked(raw)
+
+    monkeypatch.setattr(codec, "decode", counted)
+    trace = [event.render() for event in run_scenario(FANOUT, until_ms=8000)]
+    with_memo = len(decodes)
+    decodes.clear()
+    monkeypatch.setattr(node_module, "decode_checked", memo_free)
+    assert [event.render() for event in run_scenario(FANOUT, until_ms=8000)] == trace
+    # the stream frames fan out: without the memo each leaf decodes its own copy
+    assert sum(1 for line in trace if "hub->" in line and "recv type=300" in line) >= 6 * 6
+    assert 2 * with_memo < len(decodes)
