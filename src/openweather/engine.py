@@ -300,15 +300,26 @@ class Engine:
             last_rx=now_ms,
         )
         try:
-            record = self.peer_table.upsert(record)  # the merged record
+            if not self._is_own_address(meta.peer_ip, meta.port):
+                record = self.peer_table.upsert(record)  # the merged record
         except TableFullError as exc:
             log.warning("%s", exc)  # the full table dropped it: the session still gets it, unmerged
         session.remote = record
+
+    def _is_own_address(self, peer_ip: str, port: int) -> bool:
+        """Whether a remote advertises this node's own address, and so is no peer to record.
+
+        An ``owp`` one-shot advertises its socket's address and the port it
+        dials, so against a local node it claims the node's own address.
+        """
+        return peer_ip == self.local_ip and port == self.config.port
 
     def _merge_listing(self, listing: dict, now_ms: int) -> None:
         # one warning per listing, however many of its ids a full table refuses
         refused = 0
         for node_id, entry in listing.items():
+            if self._is_own_address(entry.peer_ip, entry.port):
+                continue
             try:
                 self.peer_table.upsert(PeerRecord(
                     node_id=node_id,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # decode and validate are unused here but stay module attributes: bench/tracer.py wraps node.decode and node.validate
 from .codec import (  # noqa: F401
@@ -47,8 +47,7 @@ STREAM_CODE = int(ProtocolCode.REAL_TIME_DATA_R)
 SWEEP_INTERVAL_MS = 1000  # the keep-alive sweep's grid
 
 
-@dataclass(frozen=True)
-class Outbound:
+class Outbound(NamedTuple):
     """A frame to put on the wire for the given connection key.
 
     code is the frame's message type code, known where the frame was built,
@@ -60,8 +59,7 @@ class Outbound:
     code: int
 
 
-@dataclass(frozen=True)
-class Hangup:
+class Hangup(NamedTuple):
     """An order to drop the given connection."""
 
     key: object

@@ -32,15 +32,17 @@ where bytes counts the message without its framing newline, and type is
 the code the sending node attached to the frame (no frame is decoded just
 to label it).  Each step ticks only the nodes whose timers are due: a
 node's next_due_ms() can change only inside its own on_tick, so the runner
-caches it per node and refreshes it after each tick.
+keeps each node's deadline in a heap and refreshes it after each tick.
 """
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
 import random
 import shlex
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # decode is unused here but stays a module attribute: bench/tracer.py wraps scenario.decode
 from .codec import (  # noqa: F401
@@ -199,8 +201,7 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One emitted (send) or delivered (recv) message.
 
     time_ms counts from the scenario start, matching `at` coordinates;
@@ -253,9 +254,13 @@ class _SimNode:
 class SimRunner:
     """Execute a scenario deterministically, collecting a message trace.
 
-    Each step ticks, in name order, only the nodes whose cached
-    next_due_ms() has come; the cache entry of a node is refreshed right
-    after its on_tick, the only call that moves its timers.
+    The runner keeps a heap of (next_due_ms(), name), one entry per node.
+    A step takes each due node off the top of the heap, ticks it and puts
+    it back with its fresh next_due_ms(); on_tick is the only call that
+    moves a node's timers.  A step's time is at most every deadline in the
+    heap, so every due node is due exactly then, and the (due, name) order
+    ticks them in name order.  on_tick runs every timer due by then, so the
+    fresh deadline is later and no node is ticked twice in one step.
     """
 
     def __init__(self, scenario: Scenario):
@@ -268,9 +273,9 @@ class SimRunner:
         self._by_id: dict = {}  # conn_id -> VirtualConnection, survives hangups
         self._queue = list(scenario.commands)
         self.trace: list = []
-        self._names = sorted(self.nodes)
-        # name -> next_due_ms() of its runtime, valid until that node's next on_tick
-        self._due = {name: self.nodes[name].runtime.next_due_ms() for name in self._names}
+        # (next_due_ms() of its runtime, name), one per node, valid until that node's next on_tick
+        self._due = [(node.runtime.next_due_ms(), name) for name, node in self.nodes.items()]
+        heapq.heapify(self._due)
 
     # -- plumbing --------------------------------------------------------------
 
@@ -335,20 +340,18 @@ class SimRunner:
             horizon = last + 5000
         else:
             horizon = self.scenario.start_ms + until_ms
+        due = self._due
+        queue = self._queue
         while True:
-            dues = []
-            network = self.net.next_event_ms()
-            if network is not None:
-                dues.append(network)
-            if self._queue:
-                dues.append(self._queue[0].time_ms)
             # sensor timers always run so on-demand lookups can reach back
-            if self._due:
-                dues.append(min(self._due.values()))
-            dues = [t for t in dues if t <= horizon]
-            if not dues:
+            now = due[0][0] if due else horizon + 1
+            network = self.net.next_event_ms()
+            if network is not None and network < now:
+                now = network
+            if queue and queue[0].time_ms < now:
+                now = queue[0].time_ms
+            if now > horizon:
                 break
-            now = min(dues)
             for delivery in self.net.advance(now - self.net.clock.now_ms):
                 frame = delivery.frame
                 self.trace.append(
@@ -364,13 +367,13 @@ class SimRunner:
                 runtime = self.nodes[delivery.dst].runtime
                 outputs = runtime.on_frame(self._conn_for(delivery), frame.rstrip(b"\n"), delivery.time_ms)
                 self._emit(delivery.dst, outputs, delivery.time_ms)
-            while self._queue and self._queue[0].time_ms <= now:
-                self._execute(self._queue.pop(0), now)
-            for name in self._names:
-                if self._due[name] <= now:
-                    runtime = self.nodes[name].runtime
-                    self._emit(name, runtime.on_tick(now), now)
-                    self._due[name] = runtime.next_due_ms()
+            while queue and queue[0].time_ms <= now:
+                self._execute(queue.pop(0), now)
+            while due and due[0][0] <= now:
+                name = due[0][1]
+                runtime = self.nodes[name].runtime
+                self._emit(name, runtime.on_tick(now), now)
+                heapq.heapreplace(due, (runtime.next_due_ms(), name))
         return self.trace
 
     def _conn_for(self, delivery):

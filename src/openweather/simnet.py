@@ -16,6 +16,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class SimError(RuntimeError):
@@ -43,8 +44,7 @@ class LinkSpec:
             raise ValueError("loss must be from 0 to 1, got %r" % (self.loss,))
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """A frame arriving at its destination, with its sender's type code."""
 
     time_ms: int

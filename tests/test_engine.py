@@ -189,6 +189,33 @@ def test_peer_list_receipt_merges_without_echo():
     assert engine.peer_table.get("c" * 64).last_rx == 7
 
 
+def test_a_handshake_from_this_nodes_own_address_is_not_recorded():
+    engine = Engine(config())
+    own_ip, own_port = engine.local_ip, engine.config.port
+    session = Session()
+    (reply,) = engine.handle_message(session, Envelope(100, remote_meta(2, peer_ip=own_ip, port=own_port)), 0)
+    assert reply.type_code == 101 and session.state is SessionState.ESTABLISHED
+    assert len(engine.peer_table) == 0
+    # the session still knows whom it talks to, unmerged
+    assert (session.remote.node_id, session.remote.peer_ip, session.remote.port) == ("%064x" % 2, own_ip, own_port)
+    # the same address at another port is a peer
+    other = Session()
+    engine.handle_message(other, Envelope(100, remote_meta(3, peer_ip=own_ip, port=own_port + 1)), 1)
+    assert [(r.node_id, r.port) for r in engine.peer_table.snapshot()] == [("%064x" % 3, own_port + 1)]
+
+
+def test_a_listing_entry_at_this_nodes_own_address_is_not_merged():
+    engine, session = established_engine()
+    own_ip, own_port = engine.local_ip, engine.config.port
+    listing = {
+        "c" * 64: PeerEntry(own_ip, own_port, 4),
+        "d" * 64: PeerEntry(own_ip, own_port + 1, 4),
+        "e" * 64: PeerEntry("10.0.0.9", own_port, 4),
+    }
+    assert engine.handle_message(session, inbound(105, info=InfoPayload(peers=listing)), now_ms=7) == []
+    assert sorted(r.node_id for r in engine.peer_table.snapshot()) == ["d" * 64, "e" * 64]
+
+
 def test_a_listing_into_a_full_table_logs_one_warning(caplog):
     table = PeerTable(capacity=1)
     table.upsert(PeerRecord(node_id="%064x" % 9, peer_ip="10.0.0.9", port=62535, bandwidth=6))

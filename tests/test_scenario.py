@@ -3,6 +3,8 @@
 import hashlib
 import math
 import re
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from openweather import codec, node as node_module, scenario as scenario_module
 from openweather.codec import decode, format_timestamp, parse_timestamp
 from openweather.engine import OPERATIONS
-from openweather.node import Outbound
+from openweather.node import Hangup, Outbound
 from openweather.scenario import (
     Command,
     ScenarioError,
@@ -19,6 +21,7 @@ from openweather.scenario import (
     parse_scenario,
     run_scenario,
 )
+from openweather.simnet import Delivery
 
 TWO_NODES = """
 # two stations on one slow wire
@@ -221,6 +224,30 @@ def test_error_names_the_offending_line():
 def test_render_format():
     event = TraceEvent(40, "n1", "n2", "send", 100, 375)
     assert event.render() == "t=40 n1->n2 send type=100 bytes=375"
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (TraceEvent(40, "n1", "n2", "send", 100, 375), ("time_ms", "src", "dst", "kind", "code", "size")),
+        (Delivery(1000, 1, "hub", "leaf00", b"{}\n", 300), ("time_ms", "conn_id", "src", "dst", "frame", "code")),
+        (Outbound("conn", b"{}\n", 300), ("key", "frame", "code")),
+        (Hangup("conn", "keep-alive expired"), ("key", "reason")),
+    ],
+)
+def test_records_keep_their_fields_and_refuse_assignment(record, fields):
+    assert type(record)._fields == fields
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_an_outbound_and_a_hangup_are_told_apart():
+    outbound, hangup = Outbound("conn", b"{}\n", 300), Hangup("conn", "keep-alive expired")
+    assert isinstance(outbound, Outbound) and not isinstance(outbound, Hangup)
+    assert isinstance(hangup, Hangup) and not isinstance(hangup, Outbound)
 
 
 def test_handshake_trace_shape():
@@ -548,3 +575,34 @@ def test_the_frame_memo_leaves_a_fan_out_trace_as_it_was(monkeypatch):
     # the stream frames fan out: without the memo each leaf decodes its own copy
     assert sum(1 for line in trace if "hub->" in line and "recv type=300" in line) >= 6 * 6
     assert 2 * with_memo < len(decodes)
+
+
+# The benchmark's sim-hub scenarios (40 leaves on 56 kbit/s to 10 Mbit/s
+# links, 360 virtual seconds) and the sha256 of each trace's rendered lines.
+SIM_HUB_SHA256 = {
+    1: "2922d15866a661588a3017057eb25798d7e7f1379d232e56a377b51a83a90b11",
+    2: "d392554f97bb9e01c0a74cc0f80e988550e0f98ecabcf1ee3e64bf78008c14da",
+    3: "bce5571d0ea3ed78dc63bee76d3995c23a6011b47ef9e1c74386893d69f12800",
+}
+
+
+def bench_workloads():
+    """bench/workloads.py, executed from its source: nothing joins sys.path and no bytecode is written under bench/."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    module = types.ModuleType("workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("seed", sorted(SIM_HUB_SHA256))
+def test_sim_hub_traces_are_pinned(seed):
+    inputs = bench_workloads().sim_hub(seed)
+    scenario = parse_scenario(inputs["scenario"])
+    horizon_ms = 1000 * inputs["horizon_s"]
+    chunked = SimRunner(scenario)
+    for until in range(1000, horizon_ms + 1, 1000):  # one virtual second at a time, as the bench runs it
+        chunked.run(until_ms=until)
+    whole = SimRunner(scenario).run(until_ms=horizon_ms)
+    assert chunked.trace == whole
+    rendered = "\n".join(event.render() for event in whole)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == SIM_HUB_SHA256[seed]

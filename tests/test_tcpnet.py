@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from openweather import node, tcpnet
+from openweather import cli, node, tcpnet
 from openweather.codec import ProtocolCode, UtmLocation, decode, encode
 from openweather.engine import Engine, NodeConfig, Session
 from openweather.identity import random_node_id
@@ -166,6 +166,30 @@ def test_handshake_and_discovery_roundtrip():
         assert client.engine.config.node_id in {record.node_id for record in table.snapshot()}
     finally:
         client.close()
+        server.stop()
+
+
+def test_one_shots_leave_no_record_at_the_nodes_own_address():
+    server = make_server(seed=2)
+    server.start()
+    port = server.port
+    server.runtime.config.port = port  # advertise the port it listens on, as `owp run --port` does
+    try:
+        for verb in ("handshake", "discover", "peers", "handshake", "peers"):
+            # each `owp` one-shot: a fresh random id, the target's port, the socket's address
+            config = cli._build_config(cli.build_parser().parse_args([verb, "127.0.0.1", "--port", str(port)]))
+            client = PeerClient("127.0.0.1", port, config, timeout_s=5.0)
+            try:
+                client.request("handshake")
+                if verb != "handshake":
+                    reply = client.request(verb)
+                    if verb == "peers":
+                        assert reply.info.peers == {}
+            finally:
+                client.close()
+        table = server.runtime.engine.peer_table.snapshot()
+        assert [(r.peer_ip, r.port) for r in table if (r.peer_ip, r.port) == ("127.0.0.1", port)] == []
+    finally:
         server.stop()
 
 
